@@ -10,6 +10,7 @@ from .torus import (
     make_point,
     orbit_fracs,
     orbit_grid,
+    orbit_residues,
     point_of_word,
 )
 from .measures import (

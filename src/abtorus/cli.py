@@ -165,7 +165,7 @@ def run(argv: list[str]) -> int:
         return e.code if e.code is not None else 0
     try:
         return _dispatch(args)
-    except (ValueError, IndexError) as e:
+    except (ValueError, IndexError, ZeroDivisionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 
@@ -222,9 +222,13 @@ def _dispatch(args) -> int:
         _warn_dependent(args.a, args.b)
         r = Fraction(args.r)
         family = build_default_family(args.depth)
-        sched = irregular.choose_schedule(
-            args.a, args.b, r, args.depth, family, seed=args.seed
-        )
+        try:
+            sched = irregular.choose_schedule(
+                args.a, args.b, r, args.depth, family, seed=args.seed
+            )
+        except irregular.ScheduleError as e:
+            _emit(args, {"error": str(e), "best_N": e.best_N, "estimate": vars(e.estimate)})
+            return 2
         word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
         if cmd == "synth-irregular":
             _emit(args, {"recipe": json.loads(recipe.to_json()), "word": str(word)})

@@ -109,9 +109,6 @@ class MeasureEstimate:
     half_width: float  # 95% normal-approximation confidence half-width
     samples: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -266,16 +263,17 @@ def choose_schedule(
         while 6 * k * (2 * N * c - c * c) >= N * N:
             N += 1
         best: MeasureEstimate | None = None
+        best_N = N
         for attempt in range(max_expansions):
             est = estimate_X_measure(k, N, family, a, b, samples, seed + 7919 * k + attempt)
             if best is None or est.value > best.value:
-                best = est
+                best, best_N = est, N
             if est.value - est.half_width > r:
                 break
             N = int(math.ceil(N * growth))
         else:
             raise ScheduleError(
-                f"good-set measure condition not met at level {k}", N, best
+                f"good-set measure condition not met at level {k}", best_N, best
             )
         L = max(k * (prev_sum + N) + 1, N + 1)
         while r.numerator * L // r.denominator <= N:

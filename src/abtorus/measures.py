@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import tau
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, orbit_fracs
-
-HALF_TURN = 2.0 * np.pi
+from .torus import TorusPoint, orbit_fracs, orbit_residues
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class EmpiricalMeasure:
     weights: tuple[float, ...]
     fourier: dict[int, complex]
     N: int
-    meta: tuple | None = None
 
     @property
     def K(self) -> int:
@@ -82,14 +80,10 @@ class SemiEquidistReport:
 
 
 def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
-    den = x.den
-    counts = np.zeros(d, dtype=np.int64)
-    arow = [pow(a, m, den) for m in range(N)]
-    bcol = [pow(b, n, den) * x.num % den for n in range(N)]
-    for am in arow:
-        for bn in bcol:
-            counts[(am * bn % den) * d // den] += 1
-    return counts
+    """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin j iff r >= ceil(j*den/d)."""
+    cuts = np.array([-(-j * x.den // d) for j in range(d + 1)])
+    ends = sum(np.searchsorted(np.sort(row), cuts) for row in orbit_residues(x, a, b, N))
+    return np.diff(ends)
 
 
 def empirical_measure(
@@ -100,7 +94,7 @@ def empirical_measure(
         raise ValueError("need N >= 1, d >= 1, K >= 0")
     counts = _bin_counts(x, a, b, N, d)
     weights = tuple(int(c) / N**2 for c in counts)
-    phases = HALF_TURN * orbit_fracs(x, a, b, N)
+    phases = tau * orbit_fracs(x, a, b, N)
     fourier: dict[int, complex] = {0: 1}
     for k in range(1, K + 1):
         c = complex(np.exp(1j * k * phases).mean())
@@ -108,7 +102,7 @@ def empirical_measure(
             c /= abs(c)
         fourier[k] = c
         fourier[-k] = c.conjugate()
-    return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N, meta=(x, a, b))
+    return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N)
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
@@ -117,7 +111,7 @@ def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
         raise ValueError("N must be >= 1")
     if k == 0:
         return 1
-    phases = HALF_TURN * orbit_fracs(x, a, b, N)
+    phases = tau * orbit_fracs(x, a, b, N)
     return complex(np.exp(1j * k * phases).mean())
 
 
@@ -127,7 +121,7 @@ def lebesgue_reference(d: int = 1, K: int = 16) -> EmpiricalMeasure:
     for k in range(1, K + 1):
         fourier[k] = 0j
         fourier[-k] = 0j
-    return EmpiricalMeasure(d=d, weights=(1.0 / d,) * d, fourier=fourier, N=0, meta=None)
+    return EmpiricalMeasure(d=d, weights=(1.0 / d,) * d, fourier=fourier, N=0)
 
 
 def weak_star_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -154,7 +148,7 @@ def invariance_defect(
         raise ValueError("k must be nonzero")
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
-    phases = HALF_TURN * orbit_fracs(x, a, b, N + 1)
+    phases = tau * orbit_fracs(x, a, b, N + 1)
     vals = np.exp(1j * k * phases)
     if map_choice == "a":
         shifted = vals[1 : N + 1, :N]
@@ -166,24 +160,29 @@ def invariance_defect(
 def _interval_membership(
     x: TorusPoint, a: int, b: int, N: int, lo: Fraction, hi: Fraction
 ) -> np.ndarray:
-    """Exact indicator grid of a^m b^n x in the open interval (lo, hi) mod Z."""
-    length = hi - lo
-    if length >= 1:
-        return np.ones((N, N), dtype=np.int64)
-    den = x.den
-    # point num/den in (lo, hi) iff 0 < (num*q - p*den) mod (den*q) < len*den*q
-    q = lo.denominator * length.denominator
-    p = lo.numerator * length.denominator
-    mod = den * q
-    top = length.numerator * lo.denominator * den
-    arow = [pow(a, m, den) for m in range(N)]
-    bcol = [pow(b, n, den) * x.num % den for n in range(N)]
-    grid = np.empty((N, N), dtype=np.int64)
-    for m, am in enumerate(arow):
-        for n, bn in enumerate(bcol):
-            rem = (am * bn % den * q - p * den) % mod
-            grid[m, n] = 1 if 0 < rem < top else 0
-    return grid
+    """Exact indicator grid of a^m b^n x in the open interval (lo, hi) mod Z.
+
+    With lo' = lo mod 1 and hi' = lo' + (hi - lo) < lo' + 1, r / den lies in
+    the interval iff floor(lo' den) < r < ceil(hi' den) or, wrapping past 1,
+    r < ceil(hi' den) - den.
+    """
+    if hi - lo >= 1:
+        return np.ones((N, N), dtype=bool)
+    lo_mod = lo % 1
+    hi_mod = lo_mod + (hi - lo)
+    lo_end = lo_mod.numerator * x.den // lo_mod.denominator
+    hi_end = -(-hi_mod.numerator * x.den // hi_mod.denominator)
+    rows = orbit_residues(x, a, b, N)
+    return np.array([(r > lo_end) & (r < hi_end) | (r < hi_end - x.den) for r in rows], dtype=bool)
+
+
+def _horizon_list(horizons: Sequence[int]) -> list[int]:
+    horizons = list(horizons)
+    if not horizons:
+        raise ValueError("empty horizons")
+    if min(horizons) < 1:
+        raise ValueError("horizons must be >= 1")
+    return horizons
 
 
 def semiequidist_profile(
@@ -202,9 +201,7 @@ def semiequidist_profile(
     minimum over the last quartile of horizons is at least
     t_claim * m(target) - tolerance.
     """
-    horizons = list(horizons)
-    if not horizons:
-        raise ValueError("empty horizons")
+    horizons = _horizon_list(horizons)
     if sorted(horizons) != horizons:
         raise ValueError("horizons must be ascending")
     if not 0 < t_claim <= 1:
@@ -240,11 +237,9 @@ def convergence_diagnostic(
     x: TorusPoint, a: int, b: int, horizons: Sequence[int], K: int
 ) -> list[float]:
     """Weak* distance to Lebesgue per horizon (no monotonicity is asserted)."""
-    horizons = list(horizons)
-    if not horizons:
-        raise ValueError("empty horizons")
-    Nmax = horizons[-1]
-    phases = HALF_TURN * orbit_fracs(x, a, b, Nmax)
+    horizons = _horizon_list(horizons)
+    Nmax = max(horizons)
+    phases = tau * orbit_fracs(x, a, b, Nmax)
     out = [0.0] * len(horizons)
     for k in range(1, K + 1):
         prefix = np.exp(1j * k * phases).cumsum(axis=0).cumsum(axis=1)

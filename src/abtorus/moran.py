@@ -50,11 +50,6 @@ class MoranStructure:
             if n * c > 1:
                 raise ValueError(f"n*c = {n * c} exceeds 1")
 
-    @property
-    def ratio_bound(self) -> Fraction:
-        """A recorded bound c with c_k <= c < 1 for all k."""
-        return max(self.ratios)
-
     def term(self, k: int) -> tuple[int, Fraction]:
         """1-based term (n_k, c_k)."""
         i = k - 1
@@ -136,6 +131,8 @@ def moran_dims(struct: MoranStructure, K: int) -> DimensionPair:
         s = min(log_n / neg_log_c, 1.0)
         return DimensionPair(s1=s, s2=s, exact=True)
 
+    if len(struct.counts) < 2:
+        raise ValueError("explicit structure needs at least 2 terms")
     K = min(K, len(struct.counts) - 1)
     start = min(_BURN_IN, K)
     log_n = 0.0

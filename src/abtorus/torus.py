@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
@@ -113,46 +114,50 @@ def apply_times(x: TorusPoint, c: int) -> TorusPoint:
     return TorusPoint(c * x.num, x.den)
 
 
-def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
-    """The N x N array of points a^m b^n x, computed by modular exponentiation.
+def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
+    """The N rows of exact residues r[m, n] = a^m b^n num mod den of x = num/den.
 
-    Entry (m, n) equals apply_times iterated m times with a and n times
-    with b; powers of a and b mod den are precomputed so the cost is one
-    modular multiplication per entry.
+    This is the one orbit kernel; its path depends only on the denominator.
+    For den < 2^31 each row is an int64 array pow(a, m, den) * bcol % den,
+    whose products stay below 2^62.  Larger denominators give object arrays
+    of Python ints from the small-multiplier recurrence z -> z * b % den,
+    so memory stays O(N) per row.
     """
+    den = x.den
+    if den < 2**31:
+        bcol = np.array([pow(b, n, den) * x.num % den for n in range(N)], dtype=np.int64)
+        for m in range(N):
+            yield pow(a, m, den) * bcol % den
+        return
+    start = x.num
+    for _ in range(N):
+        row, z = [], start
+        for _ in range(N):
+            row.append(z)
+            z = z * b % den
+        yield np.array(row, dtype=object)
+        start = start * a % den
+
+
+def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
+    """The N x N array of points a^m b^n x, read off the rows of `orbit_residues`."""
     if a < 2 or b < 2:
         raise ValueError("a, b must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
-    den = x.den
-    arow = [pow(a, m, den) for m in range(N)]
-    bcol = [pow(b, n, den) * x.num % den for n in range(N)]
-    return [[TorusPoint(am * bn, den) for bn in bcol] for am in arow]
+    return [[TorusPoint(r, x.den) for r in row.tolist()] for row in orbit_residues(x, a, b, N)]
 
 
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
-    """Float values of the N x N orbit grid, exact up to the final rounding.
+    """Float values r / den of the N x N orbit grid, within 1/2 ulp of the exact points.
 
-    Small denominators go through vectorized int64 modular arithmetic;
-    large ones iterate with small-multiplier big-int steps and extract the
-    53 leading bits of each fractional part.
+    The residues come from `orbit_residues` (int64 rows for den < 2^31,
+    big-integer rows otherwise); on both paths the one division r / den is
+    correctly rounded.
     """
-    den = x.den
-    if den == 1:
-        return np.zeros((N, N))
-    if den < 2**31:
-        arow = np.array([pow(a, m, den) for m in range(N)], dtype=np.int64)
-        bcol = np.array([pow(b, n, den) * x.num % den for n in range(N)], dtype=np.int64)
-        return (arow[:, None] * bcol[None, :]) % den / den
     out = np.empty((N, N))
-    scale = 2.0**-53
-    row = x.num
-    for m in range(N):
-        z = row
-        for n in range(N):
-            out[m, n] = ((z << 53) // den) * scale
-            z = z * b % den
-        row = row * a % den
+    for m, row in enumerate(orbit_residues(x, a, b, N)):
+        out[m] = row / x.den
     return out
 
 
@@ -184,12 +189,6 @@ def cylinder_of(x: TorusPoint, d: int) -> CylinderInterval:
     if d < 1:
         raise ValueError("depth must be >= 1")
     return CylinderInterval(d, x.num * d // x.den)
-
-
-def random_point(den: int, seed: int) -> TorusPoint:
-    """Seeded pseudo-uniform rational with the given denominator."""
-    rng = random.Random(seed)
-    return TorusPoint(rng.randrange(den), den)
 
 
 def random_word(base: int, length: int, seed: int) -> DigitWord:

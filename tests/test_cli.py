@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from abtorus import irregular
 from abtorus.cli import build_default_family, mult_indep_check, run
 
 
@@ -165,6 +166,47 @@ def test_verify_irregular_depth_one(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("horizons", ["0,5", "-3,5"])
+def test_equidist_nonpositive_horizons_exit_one(capsys, horizons):
+    code, out, err = capture(
+        capsys,
+        ["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "0,1/2",
+         f"--horizons={horizons}"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: horizons must be >= 1\n"
+
+
+@pytest.mark.parametrize("cmd", ["synth-irregular", "verify-irregular"])
+def test_irregular_zero_denominator_r_exit_one(capsys, cmd):
+    code, out, err = capture(capsys, [cmd, "-a", "2", "-b", "3", "-r", "1/0", "--depth", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["synth-irregular", "verify-irregular"])
+def test_schedule_error_exit_two_with_best_estimate(capsys, monkeypatch, cmd):
+    def unreachable(*args, **kwargs):
+        est = irregular.MeasureEstimate(value=0.25, half_width=0.07, samples=150)
+        raise irregular.ScheduleError("good-set measure condition not met at level 1", 31, est)
+
+    monkeypatch.setattr(irregular, "choose_schedule", unreachable)
+    code, out, err = capture(capsys, [cmd, "-a", "2", "-b", "3", "-r", "99/100", "--depth", "1"])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "error": "good-set measure condition not met at level 1",
+        "best_N": 31,
+        "estimate": {"value": 0.25, "half_width": 0.07, "samples": 150},
+        "seed": 0,
+    }
+
+
+def test_moran_dim_one_term_explicit_structure(capsys):
+    code, out, err = capture(capsys, ["moran-dim", "--struct", "n=2;c=1/3"])
+    assert (code, out) == (1, "")
+    assert err == "error: explicit structure needs at least 2 terms\n"
 
 
 def test_mult_indep_check_values():

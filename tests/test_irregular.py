@@ -117,6 +117,18 @@ def test_schedule_unreachable_measure_reports_best():
     assert exc.value.best_N > 0
 
 
+def test_schedule_error_best_N_is_where_the_best_estimate_was_taken():
+    fam = build_test_family(1)
+    reported = []
+    for growth in (1.5, 3.0):  # one attempt: no expansion, so growth cannot matter
+        with pytest.raises(ScheduleError) as exc:
+            choose_schedule(
+                2, 3, Fraction(99, 100), 1, fam, samples=100, seed=0, growth=growth, max_expansions=1
+            )
+        reported.append((exc.value.best_N, exc.value.estimate))
+    assert reported[0] == reported[1]
+
+
 def test_synthesized_word_blocks(schedule_d2, synth_d2, family2):
     word, recipe = synth_d2
     sched = schedule_d2

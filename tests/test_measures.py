@@ -129,6 +129,15 @@ def test_semiequidist_rejects_bad_input():
         semiequidist_profile(make_point(0, 1), 2, 3, (0, Fraction(1, 2)), [10], 1.5)
 
 
+@pytest.mark.parametrize("horizons", [[0, 5], [-3, 5], [0]])
+def test_nonpositive_horizons_rejected(horizons):
+    x = make_point(1, 7)
+    with pytest.raises(ValueError, match="horizons must be >= 1"):
+        semiequidist_profile(x, 2, 3, (0, Fraction(1, 2)), horizons, 0.5)
+    with pytest.raises(ValueError, match="horizons must be >= 1"):
+        convergence_diagnostic(x, 2, 3, horizons, 2)
+
+
 def test_convergence_diagnostic_fixed_point():
     dists = convergence_diagnostic(make_point(0, 1), 2, 3, [5, 10, 20], 2)
     assert dists == pytest.approx([1.5, 1.5, 1.5])
@@ -136,6 +145,13 @@ def test_convergence_diagnostic_fixed_point():
 
 def test_convergence_diagnostic_no_coefficients():
     assert convergence_diagnostic(make_point(1, 7), 2, 3, [5, 10], 0) == [0.0, 0.0]
+
+
+def test_convergence_diagnostic_unsorted_horizons():
+    x = make_point(3, 1000003)
+    assert convergence_diagnostic(x, 2, 3, [40, 10, 25], 3) == [
+        convergence_diagnostic(x, 2, 3, [N], 3)[0] for N in (40, 10, 25)
+    ]
 
 
 def test_convergence_diagnostic_random_digits():

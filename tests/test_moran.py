@@ -48,6 +48,8 @@ def test_invalid_structures_rejected():
         MoranStructure(counts=(1,), ratios=(Fraction(1),))  # c not < 1
     with pytest.raises(ValueError):
         moran_dims(periodic([2], ["1/3"]), 1)
+    with pytest.raises(ValueError, match="explicit structure needs at least 2 terms"):
+        moran_dims(MoranStructure(counts=(2,), ratios=(Fraction(1, 3),)), 64)
 
 
 @settings(max_examples=50)
