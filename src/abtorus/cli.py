@@ -11,36 +11,9 @@ import sys
 from fractions import Fraction
 
 from . import irregular, measures, moran, torus, typecount
+from .torus import mult_indep_check
 
 USAGE_ERROR = 64
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root."""
-    if n < 2:
-        return n
-    x = int(round(n ** (1.0 / k)))
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
-def _primitive_base(n: int) -> int:
-    """Smallest c with n = c^j for some j >= 1."""
-    for j in range(n.bit_length(), 0, -1):
-        c = _iroot(n, j)
-        if c >= 2 and c**j == n:
-            return c
-    return n
-
-
-def mult_indep_check(a: int, b: int) -> bool:
-    """False iff a and b are powers of a common integer base (log a / log b rational)."""
-    if a < 2 or b < 2:
-        raise ValueError("a, b must be >= 2")
-    return _primitive_base(a) != _primitive_base(b)
 
 
 class _Parser(argparse.ArgumentParser):

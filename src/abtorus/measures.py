@@ -94,15 +94,27 @@ def empirical_measure(
         raise ValueError("need N >= 1, d >= 1, K >= 0")
     counts = _bin_counts(x, a, b, N, d)
     weights = tuple(int(c) / N**2 for c in counts)
-    phases = tau * orbit_fracs(x, a, b, N)
     fourier: dict[int, complex] = {0: 1}
-    for k in range(1, K + 1):
-        c = complex(np.exp(1j * k * phases).mean())
+    for k, z in enumerate(_characters(x, a, b, N, K), start=1):
+        c = complex(z.mean())
         if abs(c) > 1.0:
             c /= abs(c)
         fourier[k] = c
         fourier[-k] = c.conjugate()
     return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N)
+
+
+def _characters(x: TorusPoint, a: int, b: int, N: int, K: int):
+    """e^(2 pi i k a^m b^n x) over the N x N grid for k = 1..K, as powers of one grid.
+
+    The same complex array is updated in place (z *= e1) and yielded for each k.
+    """
+    e1 = np.exp(1j * tau * orbit_fracs(x, a, b, N))
+    z = e1.copy()
+    for k in range(1, K + 1):
+        if k > 1:
+            z *= e1
+        yield z
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
@@ -239,11 +251,17 @@ def convergence_diagnostic(
     """Weak* distance to Lebesgue per horizon (no monotonicity is asserted)."""
     horizons = _horizon_list(horizons)
     Nmax = max(horizons)
-    phases = tau * orbit_fracs(x, a, b, Nmax)
     out = [0.0] * len(horizons)
-    for k in range(1, K + 1):
-        prefix = np.exp(1j * k * phases).cumsum(axis=0).cumsum(axis=1)
+    for k, z in enumerate(_characters(x, a, b, Nmax, K), start=1):
+        # column sums of the rows read so far, added row by row, so the N x N
+        # corner total depends on that corner alone, whatever the other horizons
+        columns, read, corner = np.zeros(Nmax, dtype=complex), 0, {}
+        for N in sorted(set(horizons)):
+            for row in z[read:N]:
+                columns += row
+            read = N
+            corner[N] = columns[:N].sum()
         for i, N in enumerate(horizons):
             # +k and -k contribute equally
-            out[i] += 2.0 ** (1 - k) * abs(prefix[N - 1, N - 1]) / N**2
+            out[i] += 2.0 ** (1 - k) * abs(corner[N]) / N**2
     return out

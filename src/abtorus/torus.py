@@ -109,6 +109,34 @@ def make_point(p: int, q: int) -> TorusPoint:
     return TorusPoint(p, q)
 
 
+def _iroot(n: int, k: int) -> int:
+    """Floor of the integer k-th root."""
+    if n < 2:
+        return n
+    x = int(round(n ** (1.0 / k)))
+    while x**k > n:
+        x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
+    return x
+
+
+def _primitive_base(n: int) -> int:
+    """Smallest c with n = c^j for some j >= 1."""
+    for j in range(n.bit_length(), 0, -1):
+        c = _iroot(n, j)
+        if c >= 2 and c**j == n:
+            return c
+    return n
+
+
+def mult_indep_check(a: int, b: int) -> bool:
+    """False iff a and b are powers of a common integer base (log a / log b rational)."""
+    if a < 2 or b < 2:
+        raise ValueError("a, b must be >= 2")
+    return _primitive_base(a) != _primitive_base(b)
+
+
 def apply_times(x: TorusPoint, c: int) -> TorusPoint:
     """The map T_c: x -> c*x mod 1, exactly."""
     return TorusPoint(c * x.num, x.den)
@@ -117,11 +145,14 @@ def apply_times(x: TorusPoint, c: int) -> TorusPoint:
 def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
     """The N rows of exact residues r[m, n] = a^m b^n num mod den of x = num/den.
 
-    This is the one orbit kernel; its path depends only on the denominator.
-    For den < 2^31 each row is an int64 array pow(a, m, den) * bcol % den,
-    whose products stay below 2^62.  Larger denominators give object arrays
-    of Python ints from the small-multiplier recurrence z -> z * b % den,
-    so memory stays O(N) per row.
+    This is the one exact orbit kernel; its path depends only on the
+    denominator.  For den < 2^31 each row is an int64 array
+    pow(a, m, den) * bcol % den, whose products stay below 2^62.  Larger
+    denominators give object arrays of Python ints from the small-multiplier
+    recurrence z -> z * b % den, so memory stays O(N) per row.  The float
+    grid `orbit_fracs` reads r / den (correctly rounded) off these rows,
+    except when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its
+    digit automaton gives the same doubles without residues.
     """
     den = x.den
     if den < 2**31:
@@ -149,16 +180,152 @@ def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
 
 
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
-    """Float values r / den of the N x N orbit grid, within 1/2 ulp of the exact points.
+    """Float values r / den of the N x N orbit grid, correctly rounded (within 1/2 ulp).
 
-    The residues come from `orbit_residues` (int64 rows for den < 2^31,
-    big-integer rows otherwise); on both paths the one division r / den is
-    correctly rounded.
+    One of three row builders runs, chosen from x, a and b alone:
+
+    - den < 2^31: the int64 rows of `orbit_residues`, each cell r / den;
+    - den >= 2^31 dividing (ab)^K, with (ab)^2 <= 2^53: the base-ab digit
+      automaton of `_digit_fracs`, with no big-integer arithmetic;
+    - any other den >= 2^31: the big-integer rows of `orbit_residues`.
+
+    Each cell is the double nearest the exact point, so the paths agree.
     """
+    K = _digit_length(x, a, b)
+    if K:
+        return _digit_fracs(x, a, b, N, K)
     out = np.empty((N, N))
     for m, row in enumerate(orbit_residues(x, a, b, N)):
         out[m] = row / x.den
     return out
+
+
+def _digit_length(x: TorusPoint, a: int, b: int) -> int:
+    """Least K with den | (ab)^K when x, a, b take the digit path; 0 otherwise."""
+    rest, ab = x.den, a * b
+    if rest < 2**31 or min(a, b) < 1 or ab < 2 or ab * ab > 2**53:
+        return 0
+    K = 0
+    while rest > 1:  # step K removes gcd(rest, ab): one more factor ab of den
+        g = gcd(rest, ab)
+        if g == 1:
+            return 0
+        rest //= g
+        K += 1
+    return K
+
+
+# Cells per block of diagonals that `_digit_fracs` certifies together.
+_BLOCK_CELLS = 1 << 13
+
+
+def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
+    """The orbit grid of x = sum_{i<K} d_i (ab)^-(i+1) from a base-ab digit automaton.
+
+    Cell (m, n) is frac((ab)^s c^j x) with s = min(m, n), j = |m - n| and
+    c = a (m >= n) or b (m < n), so diagonal j is the digit state of c^j x
+    read from digit s on, and cells with s >= K are 0.  Times a is the
+    local rule d_i <- a (d_i mod b) + d_{i+1} // b, which never carries
+    further and keeps K digits; times b swaps a and b.  Cells that
+    `_window_fracs` cannot certify are recomputed exactly.
+    """
+    ab = a * b
+    W = 1
+    while ab ** (W + 1) <= 2**53:
+        W += 1
+    digits = np.zeros(K + 2 * W, dtype=np.int64)
+    digits[:K] = digits_of(x, ab, K).digits
+    out = np.zeros((N, N))
+    flat = out.reshape(-1)
+    fallback = []
+    for c, other, below in ((a, b, True), (b, a, False)):
+        j = 0 if below else 1  # the main diagonal is read once
+        state = digits if below else _times(digits, c, other)
+        while j < N:
+            S = min(K, N - j)
+            rows = max(1, min(N - j, _BLOCK_CELLS // (S + 2 * W)))
+            block = np.empty((rows, S + 2 * W), dtype=np.int64)
+            last = np.empty(rows, dtype=np.int64)
+            for i in range(rows):
+                block[i] = state[: S + 2 * W]
+                nonzero = np.flatnonzero(state)
+                last[i] = nonzero[-1] if nonzero.size else -1
+                state = _times(state, c, other)
+            vals, ok = _window_fracs(block, last, S, ab, W)
+            for i in range(rows):
+                d = j + i
+                diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
+                diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
+            for i, s in zip(*np.nonzero(~ok)):
+                d, s = j + int(i), int(s)
+                if s < N - d:
+                    fallback.append((s + d, s) if below else (s, s + d))
+            j += rows
+    for m, n in fallback:
+        out[m, n] = pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den / x.den
+    return out
+
+
+def _times(state: np.ndarray, c: int, other: int) -> np.ndarray:
+    """One automaton step: the base-(c*other) digits of frac(c * y) from those of y."""
+    q, r = np.divmod(state, other)
+    out = c * r
+    out[:-1] += q[1:]
+    return out
+
+
+# Veltkamp splitter for doubles, 2^27 + 1, and the unit roundoff 2^-53.
+_SPLIT = 134217729.0
+_U = 2.0**-53
+
+
+def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int):
+    """Correctly rounded values of the digit tails at shifts s < S, and which are certified.
+
+    Row i of `block` holds digits 0 .. S+2W-1 of one state and `last[i]` is
+    the index of its last nonzero digit.  With C = (ab)^W <= 2^53, v1 and
+    v2 the W-digit windows at s and s + W and t in [0, 1) the digits after
+    them, the cell is y = (v1 + (v2 + t)/C) / C.  For v1 >= 1 the candidate
+    f = f0 + rho/C takes rho = v1 + v2/C - f0 C from a Dekker two-product;
+    f is certified when every rounding and t leave y - f strictly inside
+    half the gap below f, so f is the double nearest y.  A cell with only
+    zero digits comes out exactly 0.  Near-ties, and v1 = 0 over nonzero
+    digits, stay uncertified.
+    """
+    V = block[:, : S + W].copy()
+    for i in range(1, W):
+        V *= ab
+        V += block[:, i : i + S + W]
+    v1, v2 = V[:, :S], V[:, W : W + S]
+    C = float(ab**W)
+    c_hi = _SPLIT * C - (_SPLIT * C - C)
+    c_lo = C - c_hi
+    hi = v1.astype(float)
+    q = v2 / C  # within u q of v2 / C
+    s = hi + q
+    err = q - (s - hi)  # s + err = v1 + q exactly, as v1 >= q
+    f0 = s / C
+    p = f0 * C
+    big = _SPLIT * f0
+    f_hi = big - (big - f0)
+    f_lo = f0 - f_hi
+    e = ((f_hi * c_hi - p) + f_hi * c_lo + f_lo * c_hi) + f_lo * c_lo  # f0 C = p + e
+    resid = (s - p) - e  # s - p is exact (Sterbenz)
+    rho = resid + err
+    delta = rho / C
+    f = f0 + delta
+    back = f - f0
+    r2 = (f0 - (f - back)) + (delta - back)  # f + r2 = f0 + delta exactly
+    gap = f - np.nextafter(f, -np.inf)
+    half = gap / 2
+    # y - f = r2 + (rho_exact - rho)/C + (rho/C - delta) + t/C^2; the first two
+    # errors are below u((q + |resid| + |rho|)/C + |delta|), and the factor 16
+    # also covers the roundings of the comparisons below.
+    bound = 16 * _U * (gap + (q + np.abs(resid) + np.abs(rho)) / C + np.abs(delta))
+    tail = np.arange(S) + 2 * W <= last[:, None]
+    t_max = float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)
+    ok = (v1 > 0) & (r2 + half > bound) & (half - r2 - tail * t_max > bound)
+    return f, ok | (v1 == 0) & (v2 == 0) & ~tail
 
 
 def digits_of(x: TorusPoint, base: int, L: int) -> DigitWord:

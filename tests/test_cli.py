@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +225,19 @@ def test_mult_indep_check_values():
 def test_default_family_depth():
     assert len(build_default_family(1).functions) == 2
     assert len(build_default_family(3).functions) == 3
+
+
+def test_python_dash_m_entry_points():
+    src = str(Path(irregular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["orbit", "-a", "2", "-b", "3", "-x", "1/5", "-N", "2"]
+    runs = {
+        module: subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        )
+        for module in ("abtorus", "abtorus.cli")
+    }
+    for proc in runs.values():
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["orbit"] == [["1/5", "3/5"], ["2/5", "1/5"]]
+    assert "RuntimeWarning" not in runs["abtorus"].stderr

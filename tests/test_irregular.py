@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from abtorus import (
     synthesize_point,
 )
 from abtorus.irregular import SAMPLE_DEN, ScheduleError
+
+GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 
 
 def test_family_values_and_integral():
@@ -156,6 +160,13 @@ def test_synthesis_determinism(family2):
     w3, _ = synthesize_point(sched, fam, seed=10)
     assert w1 == w2
     assert w1 != w3
+
+
+def test_depth_two_pipeline_matches_golden(synth_d2, report_d2):
+    # a=2, b=3, r=1/2, seed 0; captured before the digit-automaton orbit path
+    golden = json.loads(GOLDEN_D2.read_text())
+    assert synth_d2[1].to_json() == golden["recipe"]
+    assert report_d2.to_json() == golden["report"]
 
 
 def test_verify_report_passes(report_d2):

@@ -1,13 +1,16 @@
 """Differential tests of the orbit-residue kernel and its consumers against exact references."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import TorusPoint, orbit_fracs, orbit_grid, orbit_residues
+from abtorus import DigitWord, TorusPoint, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
 from abtorus.measures import _bin_counts, _interval_membership
+from abtorus.torus import _digit_length
 
 # Both sides of the int64/bigint switch (6**30 also passes 2**63), the trivial
 # circle, and small denominators so that d > den and exact interval-end hits
@@ -105,3 +108,139 @@ def test_interval_membership_edge_cases():
     assert grid.shape == wrap.shape and wrap.sum() == 4  # only 1/5, through the wrap
     assert _interval_membership(x, 2, 3, 4, Fraction(1, 5), Fraction(6, 5)).all()
     assert _bin_counts(TorusPoint(0, 1), 2, 3, 3, 7).tolist() == [9, 0, 0, 0, 0, 0, 0]
+
+
+# ---- the base-ab digit automaton path of orbit_fracs -------------------------
+
+PAIRS = [(2, 3), (3, 2), (2, 5), (4, 6)]
+
+
+@st.composite
+def digit_words(draw):
+    """(a, b, digits): base-ab words built from random digits, zero blocks and all-(ab-1) blocks."""
+    a, b = draw(st.sampled_from(PAIRS))
+    ab = a * b
+    block = st.one_of(
+        st.lists(st.integers(0, ab - 1), min_size=1, max_size=12),
+        st.integers(1, 60).map(lambda n: [0] * n),
+        st.integers(1, 60).map(lambda n: [ab - 1] * n),
+    )
+    digits = [d for part in draw(st.lists(block, min_size=1, max_size=6)) for d in part]
+    return a, b, digits
+
+
+def check_against_residues(x, a, b, N):
+    """Every cell equals row / den from orbit_residues and is within 1/2 ulp of r / den."""
+    fracs = orbit_fracs(x, a, b, N)
+    assert fracs.shape == (N, N) and fracs.dtype == np.float64
+    for m, row in enumerate(orbit_residues(x, a, b, N)):
+        assert fracs[m].tolist() == (row / x.den).tolist()
+        for n, r in enumerate(row.tolist()):
+            f = float(fracs[m, n])
+            assert abs(Fraction(f) - Fraction(r, x.den)) <= Fraction(math.ulp(f)) / 2
+    return fracs
+
+
+@settings(max_examples=150, deadline=None)
+@given(digit_words(), st.integers(min_value=1, max_value=40))
+def test_digit_path_matches_residues(word, N):
+    a, b, digits = word
+    x = point_of_word(DigitWord(a * b, digits))
+    # the digit path runs exactly for den >= 2^31; smaller den stay on the int64 path
+    assert bool(_digit_length(x, a, b)) == (x.den >= 2**31)
+    check_against_residues(x, a, b, N)
+
+
+def test_digit_length_rule():
+    assert _digit_length(TorusPoint(1, 6**40), 2, 3) == 40
+    assert _digit_length(TorusPoint(1, 2**40 * 3), 2, 3) == 40
+    assert _digit_length(TorusPoint(1, 2**31 - 1), 2, 3) == 0  # int64 path
+    assert _digit_length(TorusPoint(1, 6**40 * 5), 2, 3) == 0  # big-integer path
+    assert _digit_length(TorusPoint(1, 6**40), 2**11, 6**5) == 8
+    assert _digit_length(TorusPoint(1, 6**40), 2**20, 3**10) == 0  # (ab)^2 > 2^53
+
+
+def count_uncertified(monkeypatch):
+    """Wrap the window certifier; the returned list collects its uncertified cell counts."""
+    seen = []
+    certify = torus._window_fracs
+
+    def counted(*args):
+        vals, ok = certify(*args)
+        seen.append(int((~ok).sum()))
+        return vals, ok
+
+    monkeypatch.setattr(torus, "_window_fracs", counted)
+    return seen
+
+
+def test_digit_path_underflow_falls_back(monkeypatch):
+    # 590 leading zeros: x ~ 6^-591 is below the smallest subnormal, so r / den is 0.0
+    digits = [0] * 590 + [5, 1, 4, 1, 5, 2, 3, 5, 1, 3]
+    x = point_of_word(DigitWord(6, digits))
+    seen = count_uncertified(monkeypatch)
+    fracs = check_against_residues(x, 2, 3, 6)
+    assert fracs[0, 0] == 0.0 and x.num > 0
+    assert sum(seen) > 0
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        # the exact midpoint between 1/2 and 1/2 + 2^-53 rounds to even
+        (Fraction(1, 2) + Fraction(1, 2**54), 0.5),
+        # 6^-60 above that midpoint, decided by digits after the two windows
+        (Fraction(1, 2) + Fraction(1, 2**54) + Fraction(1, 6**60), 0.5 + 2.0**-53),
+    ],
+)
+def test_digit_path_near_tie_falls_back(monkeypatch, value, expected):
+    x = TorusPoint(value.numerator, value.denominator)
+    assert _digit_length(x, 2, 3)
+    seen = count_uncertified(monkeypatch)
+    fracs = check_against_residues(x, 2, 3, 5)
+    assert fracs[0, 0] == expected
+    assert sum(seen) > 0
+
+
+def near_midpoints():
+    """Points of 40-44 base-6 digits next to a midpoint between two doubles."""
+    rng = random.Random(0)
+    # midpoints just below a power of two, where the gap below is half the gap above
+    for e in range(1, 50):
+        m = Fraction(1, 2 ** (e - 1)) - Fraction(1, 2 ** (53 + e))
+        for D in (40, 43):
+            k = round(m * 6**D)
+            yield from (TorusPoint(k + dk, 6**D) for dk in range(-3, 4))
+    # a digit right after the two 20-digit windows lifts y over a midpoint
+    for e in range(3, 45):
+        for _ in range(20):
+            m = Fraction(rng.randrange(2**53, 2**54) | 1, 2 ** (53 + e))
+            prefix = m.numerator * 6**40 // m.denominator
+            d = int((m - Fraction(prefix, 6**40)) * 6**41) + 1
+            if d < 6:
+                yield TorusPoint(prefix * 6 + d, 6**41)
+
+
+def test_digit_path_near_midpoints():
+    for x in near_midpoints():
+        assert _digit_length(x, 2, 3)
+        assert orbit_fracs(x, 2, 3, 2).tolist() == [
+            [r / x.den for r in row.tolist()] for row in orbit_residues(x, 2, 3, 2)
+        ]
+
+
+def test_digit_path_tail_digit_decides(monkeypatch):
+    # base 4 (a = b = 2) has 26-digit windows.  y = 2^-52 + 3 * 4^-53 sits above the
+    # midpoint 2^-52 + 2^-105 only through digit 52, the first one after both windows.
+    x = TorusPoint(2**54 + 3, 4**53)
+    seen = count_uncertified(monkeypatch)
+    fracs = check_against_residues(x, 2, 2, 3)
+    assert fracs[0, 0] == 2.0**-52 + 2.0**-104
+    assert sum(seen) > 0
+
+
+def test_digit_path_certifies_all_zero_windows(monkeypatch):
+    # a^j x = 2^(j-40) needs only 40 - j digits; the zero windows past them are exact
+    seen = count_uncertified(monkeypatch)
+    check_against_residues(TorusPoint(1, 2**40), 2, 3, 50)
+    assert sum(seen) == 0

@@ -17,6 +17,7 @@ from abtorus import (
     semiequidist_profile,
     weak_star_distance,
 )
+from abtorus import measures
 from abtorus.torus import random_word
 
 
@@ -166,3 +167,42 @@ def test_matches_empirical_fourier():
     for k in (1, 2, 3):
         assert mu.fourier[k] == pytest.approx(fourier_average(x, 2, 3, 7, k), abs=1e-14)
         assert mu.fourier[-k] == pytest.approx(mu.fourier[k].conjugate())
+
+
+def reference_fourier(x, a, b, N, k):
+    return np.exp(1j * k * 2 * np.pi * orbit_fracs(x, a, b, N))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [make_point(3, 1000003), point_of_word(random_word(6, 300, seed=7)), make_point(5, 7**20)],
+)
+def test_shared_character_sums_match_per_k_exp(x):
+    # int64, digit-automaton and big-integer orbit paths
+    K, horizons = 16, [60, 15, 37]
+    mu = empirical_measure(x, 2, 3, 60, 5, K)
+    dists = convergence_diagnostic(x, 2, 3, horizons, K)
+    ref = [0.0] * len(horizons)
+    for k in range(1, K + 1):
+        z = reference_fourier(x, 2, 3, 60, k)
+        assert abs(mu.fourier[k] - z.mean()) < 1e-12
+        prefix = z.cumsum(axis=0).cumsum(axis=1)
+        for i, N in enumerate(horizons):
+            ref[i] += 2.0 ** (1 - k) * abs(prefix[N - 1, N - 1]) / N**2
+    assert max(abs(d - r) for d, r in zip(dists, ref)) < 1e-12
+
+
+def test_semiequidist_constant_test_function():
+    target = measures.TestFunctionTarget(func=np.ones_like, integral=1.0)
+    rep = semiequidist_profile(make_point(3, 17), 2, 3, target, [1, 4, 9], 0.9)
+    assert rep.ratios == [1.0, 1.0, 1.0]
+    assert rep.target_measure == 1.0 and rep.verdict
+
+
+def test_semiequidist_identity_test_function():
+    # the orbit of 1/5 under 2, 3 at horizon 2 is 1/5, 3/5, 2/5, 6/5 = 1/5 (mod 1)
+    target = measures.TestFunctionTarget(func=lambda v: v, integral=0.5)
+    rep = semiequidist_profile(make_point(1, 5), 2, 3, target, [1, 2], 1.0)
+    assert rep.ratios == pytest.approx([1 / 5, (1 + 3 + 2 + 1) / 5 / 4], abs=1e-15)
+    assert rep.target_measure == 0.5
+    assert rep.liminf_estimate == rep.ratios[-1] and not rep.verdict
