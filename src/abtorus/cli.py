@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 precondition violation, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ def _emit(args, payload: dict, csv_lines: list[str] | None = None) -> None:
     if args.format == "csv" and csv_lines is not None:
         sys.stdout.write("\n".join(csv_lines) + "\n")
     else:
-        payload.setdefault("seed", getattr(args, "seed", 0))
+        payload.setdefault("seed", args.seed)
         sys.stdout.write(json.dumps(payload) + "\n")
 
 
@@ -35,91 +36,18 @@ def _horizons(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="abtorus", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
+    for name, (_, options) in _COMMANDS.items():
+        sp = sub.add_parser(name)
         sp.add_argument("--format", choices=["csv", "json"], default="json")
         sp.add_argument("--seed", type=int, default=0)
-        return sp
-
-    sp = add("orbit")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-x", required=True)
-    sp.add_argument("-N", type=int, required=True)
-
-    sp = add("empirical")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-x", required=True)
-    sp.add_argument("-N", type=int, required=True)
-    sp.add_argument("-d", type=int, default=10)
-    sp.add_argument("-K", type=int, default=16)
-
-    sp = add("fourier")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-x", required=True)
-    sp.add_argument("-N", type=int, required=True)
-    sp.add_argument("-K", type=int, required=True, help="single frequency k")
-
-    sp = add("moran-dim")
-    sp.add_argument("--struct", required=True)
-    sp.add_argument("-K", type=int, default=64)
-
-    sp = add("box-dim")
-    sp.add_argument("--struct", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--scales", required=True, help="comma-separated rationals")
-
-    sp = add("synth-irregular")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-r", required=True)
-    sp.add_argument("--depth", type=int, default=2)
-
-    sp = add("verify-irregular")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-r", required=True)
-    sp.add_argument("--depth", type=int, default=2)
-
-    sp = add("count-r")
-    sp.add_argument("-K", type=int, required=True, help="alphabet size k")
-    sp.add_argument("-N", type=int, required=True)
-    sp.add_argument("-t", type=float, required=True)
-
-    sp = add("growth")
-    sp.add_argument("-K", type=int, required=True, help="alphabet size k")
-    sp.add_argument("-t", type=float, required=True)
-    sp.add_argument("--horizons", required=True)
-
-    sp = add("itinerary")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-x", required=True)
-    sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("-M", type=int, required=True)
-    sp.add_argument("-N", type=int, required=True)
-
-    sp = add("kt-bound")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-t", type=float, required=True)
-
-    sp = add("q-bound")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-t", type=float, required=True)
-
-    sp = add("equidist")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-x", required=True)
-    sp.add_argument("-t", type=float, required=True, help="t_claim")
-    sp.add_argument("-U", required=True, help="interval as lo,hi (rationals)")
-    sp.add_argument("--horizons", required=True)
+        for spec in options:
+            flag, default, help = (spec, None, None) if isinstance(spec, str) else spec
+            kind = float if flag == "-t" else str if flag in _STR_OPTIONS else int
+            sp.add_argument(flag, type=kind, required=default is None, default=default, help=help)
     return p
 
 
@@ -137,124 +65,154 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return e.code if e.code is not None else 0
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.cmd][0](args) or 0  # a handler returns None for 0
+    except irregular.ScheduleError as e:
+        _emit(args, {"error": str(e), "best_N": e.best_N, "estimate": vars(e.estimate)})
+        return 2
     except (ValueError, IndexError, ZeroDivisionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 
 
-def _dispatch(args) -> int:
-    cmd = args.cmd
-    if cmd == "orbit":
-        _warn_dependent(args.a, args.b)
-        x = torus.TorusPoint.parse(args.x)
-        grid = torus.orbit_grid(x, args.a, args.b, args.N)
-        rows = [",".join(str(p) for p in row) for row in grid]
-        _emit(args, {"orbit": [[str(p) for p in row] for row in grid]}, rows)
-        return 0
+def _orbit(args):
+    _warn_dependent(args.a, args.b)
+    x = torus.TorusPoint.parse(args.x)
+    grid = torus.orbit_grid(x, args.a, args.b, args.N)
+    rows = [",".join(str(p) for p in row) for row in grid]
+    _emit(args, {"orbit": [[str(p) for p in row] for row in grid]}, rows)
 
-    if cmd == "empirical":
-        _warn_dependent(args.a, args.b)
-        x = torus.TorusPoint.parse(args.x)
-        mu = measures.empirical_measure(x, args.a, args.b, args.N, args.d, args.K)
-        payload = {
-            "d": mu.d,
-            "N": mu.N,
-            "weights": [repr(w) for w in mu.weights],
-            "fourier": {
-                str(k): [repr(c.real), repr(c.imag)]
-                for k, c in sorted(mu.fourier.items())
-            },
-        }
-        csv = ["bin,weight"] + [f"{j},{w!r}" for j, w in enumerate(mu.weights)]
-        _emit(args, payload, csv)
-        return 0
 
-    if cmd == "fourier":
-        x = torus.TorusPoint.parse(args.x)
-        c = measures.fourier_average(x, args.a, args.b, args.N, args.K)
-        c = complex(c)
-        _emit(args, {"k": args.K, "real": repr(c.real), "imag": repr(c.imag)})
-        return 0
+def _empirical(args):
+    _warn_dependent(args.a, args.b)
+    x = torus.TorusPoint.parse(args.x)
+    mu = measures.empirical_measure(x, args.a, args.b, args.N, args.d, args.K)
+    payload = {
+        "d": mu.d,
+        "N": mu.N,
+        "weights": [repr(w) for w in mu.weights],
+        "fourier": {
+            str(k): [repr(c.real), repr(c.imag)]
+            for k, c in sorted(mu.fourier.items())
+        },
+    }
+    csv = ["bin,weight"] + [f"{j},{w!r}" for j, w in enumerate(mu.weights)]
+    _emit(args, payload, csv)
 
-    if cmd == "moran-dim":
-        struct = moran.MoranStructure.parse(args.struct)
-        dims = moran.moran_dims(struct, args.K)
-        _emit(args, {"s1": repr(dims.s1), "s2": repr(dims.s2), "exact": dims.exact})
-        return 0
 
-    if cmd == "box-dim":
-        struct = moran.MoranStructure.parse(args.struct)
-        intervals = moran.realize_intervals(struct, args.depth)
-        scales = [Fraction(s) for s in args.scales.split(",")]
-        est = moran.box_counting_estimate(intervals, scales)
-        _emit(args, {"estimate": repr(est), "depth": args.depth})
-        return 0
+def _fourier(args):
+    x = torus.TorusPoint.parse(args.x)
+    c = measures.fourier_average(x, args.a, args.b, args.N, args.K)
+    c = complex(c)
+    _emit(args, {"k": args.K, "real": repr(c.real), "imag": repr(c.imag)})
 
-    if cmd in ("synth-irregular", "verify-irregular"):
-        _warn_dependent(args.a, args.b)
-        r = Fraction(args.r)
-        family = build_default_family(args.depth)
-        try:
-            sched = irregular.choose_schedule(
-                args.a, args.b, r, args.depth, family, seed=args.seed
-            )
-        except irregular.ScheduleError as e:
-            _emit(args, {"error": str(e), "best_N": e.best_N, "estimate": vars(e.estimate)})
-            return 2
-        word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
-        if cmd == "synth-irregular":
-            _emit(args, {"recipe": json.loads(recipe.to_json()), "word": str(word)})
-            return 0
-        report = irregular.verify_irregular(word, recipe, family)
-        _emit(args, json.loads(report.to_json()))
-        return 0 if report.passed else 2
 
-    if cmd == "count-r":
-        sys.stdout.write(f"{typecount.count_R(args.K, args.N, args.t)}\n")
-        return 0
+def _moran_dim(args):
+    struct = moran.MoranStructure.parse(args.struct)
+    dims = moran.moran_dims(struct, args.K)
+    _emit(args, {"s1": repr(dims.s1), "s2": repr(dims.s2), "exact": dims.exact})
 
-    if cmd == "growth":
-        prof = typecount.growth_profile(args.K, args.t, _horizons(args.horizons))
-        csv = ["N,value"] + [f"{N},{v!r}" for N, v in prof]
-        _emit(args, {"profile": [[N, repr(v)] for N, v in prof]}, csv)
-        return 0
 
-    if cmd == "itinerary":
-        x = torus.TorusPoint.parse(args.x)
-        rec = typecount.itinerary_choices(x, args.a, args.d, args.M, args.N)
-        _emit(
-            args,
-            {
-                "indices": list(rec.indices),
-                "q": [str(v) for v in rec.q.p],
-                "entropy": repr(rec.q.entropy()),
-            },
-        )
-        return 0
+def _box_dim(args):
+    struct = moran.MoranStructure.parse(args.struct)
+    intervals = moran.realize_intervals(struct, args.depth)
+    scales = [Fraction(s) for s in args.scales.split(",")]
+    est = moran.box_counting_estimate(intervals, scales)
+    _emit(args, {"estimate": repr(est), "depth": args.depth})
 
-    if cmd == "kt-bound":
-        _emit(args, {"bound": repr(typecount.kt_bound(args.a, args.b, args.t))})
-        return 0
 
-    if cmd == "q-bound":
-        _emit(args, {"bound": repr(typecount.q_bound(args.a, args.t))})
-        return 0
+def _synthesize(args):
+    """Schedule and synthesize a point; a ScheduleError reaches `run`."""
+    _warn_dependent(args.a, args.b)
+    r = Fraction(args.r)
+    family = build_default_family(args.depth)
+    sched = irregular.choose_schedule(args.a, args.b, r, args.depth, family, seed=args.seed)
+    word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
+    return word, recipe, family
 
-    if cmd == "equidist":
-        _warn_dependent(args.a, args.b)
-        x = torus.TorusPoint.parse(args.x)
-        lo, hi = (Fraction(v) for v in args.U.split(","))
-        report = measures.semiequidist_profile(
-            x, args.a, args.b, (lo, hi), _horizons(args.horizons), args.t
-        )
-        if args.format == "csv":
-            sys.stdout.write(report.to_csv())
-        else:
-            sys.stdout.write(report.to_json() + "\n")
-        return 0 if report.verdict else 2
 
-    raise AssertionError(f"unhandled command {cmd}")
+def _synth_irregular(args):
+    word, recipe, _ = _synthesize(args)
+    _emit(args, {"recipe": json.loads(recipe.to_json()), "word": str(word)})
+
+
+def _verify_irregular(args):
+    word, recipe, family = _synthesize(args)
+    report = irregular.verify_irregular(word, recipe, family)
+    _emit(args, json.loads(report.to_json()))
+    return 0 if report.passed else 2
+
+
+def _count_r(args):
+    sys.stdout.write(f"{typecount.count_R(args.K, args.N, args.t)}\n")
+
+
+def _growth(args):
+    prof = typecount.growth_profile(args.K, args.t, _horizons(args.horizons))
+    csv = ["N,value"] + [f"{N},{v!r}" for N, v in prof]
+    _emit(args, {"profile": [[N, repr(v)] for N, v in prof]}, csv)
+
+
+def _itinerary(args):
+    x = torus.TorusPoint.parse(args.x)
+    rec = typecount.itinerary_choices(x, args.a, args.d, args.M, args.N)
+    _emit(
+        args,
+        {
+            "indices": list(rec.indices),
+            "q": [str(v) for v in rec.q.p],
+            "entropy": repr(typecount.entropy(rec.q)),
+        },
+    )
+
+
+def _kt_bound(args):
+    _emit(args, {"bound": repr(typecount.kt_bound(args.a, args.b, args.t))})
+
+
+def _q_bound(args):
+    _emit(args, {"bound": repr(typecount.q_bound(args.a, args.t))})
+
+
+def _equidist(args):
+    _warn_dependent(args.a, args.b)
+    x = torus.TorusPoint.parse(args.x)
+    lo, hi = (Fraction(v) for v in args.U.split(","))
+    report = measures.semiequidist_profile(
+        x, args.a, args.b, (lo, hi), _horizons(args.horizons), args.t
+    )
+    if args.format == "csv":
+        sys.stdout.write(report.to_csv())
+    else:
+        sys.stdout.write(report.to_json() + "\n")
+    return 0 if report.verdict else 2
+
+
+# Each subcommand, in help order, with its handler and options. An option is
+# a required flag or (flag, default, help); every subcommand also takes
+# --format and --seed. -t is a float, the flags in _STR_OPTIONS strings and
+# the rest ints.
+_STR_OPTIONS = {"-x", "-r", "-U", "--struct", "--scales", "--horizons"}
+_ORBIT = ("-a", "-b", "-x", "-N")
+_IRREGULAR = ("-a", "-b", "-r", ("--depth", 2, None))
+_ALPHABET = ("-K", None, "alphabet size k")
+_COMMANDS = {
+    "orbit": (_orbit, _ORBIT),
+    "empirical": (_empirical, (*_ORBIT, ("-d", 10, None), ("-K", 16, None))),
+    "fourier": (_fourier, (*_ORBIT, ("-K", None, "single frequency k"))),
+    "moran-dim": (_moran_dim, ("--struct", ("-K", 64, None))),
+    "box-dim": (_box_dim, ("--struct", "--depth", ("--scales", None, "comma-separated rationals"))),
+    "synth-irregular": (_synth_irregular, _IRREGULAR),
+    "verify-irregular": (_verify_irregular, _IRREGULAR),
+    "count-r": (_count_r, (_ALPHABET, "-N", "-t")),
+    "growth": (_growth, (_ALPHABET, "-t", "--horizons")),
+    "itinerary": (_itinerary, ("-a", "-x", "-d", "-M", "-N")),
+    "kt-bound": (_kt_bound, ("-a", "-b", "-t")),
+    "q-bound": (_q_bound, ("-a", "-t")),
+    "equidist": (_equidist, (
+        "-a", "-b", "-x", ("-t", None, "t_claim"),
+        ("-U", None, "interval as lo,hi (rationals)"), "--horizons",
+    )),
+}
 
 
 def build_default_family(depth: int) -> irregular.TestFamily:

@@ -79,10 +79,6 @@ class BumpFunction:
     l: int
 
     @property
-    def support_width(self) -> float:
-        return 2.0 * self.base ** -self.l
-
-    @property
     def integral(self) -> Fraction:
         return Fraction(3, 2) / self.base**self.l
 
@@ -130,25 +126,22 @@ class Schedule:
 
 @dataclass
 class IrregularRecipe:
-    a: int
-    b: int
-    r: Fraction
-    depth: int
     schedule: Schedule
     seed: int
     donors: list[str] = field(default_factory=list)  # one sampled point per level
     donor_tries: list[int] = field(default_factory=list)
 
     def to_json(self) -> str:
+        sched = self.schedule
         return json.dumps(
             {
-                "a": self.a,
-                "b": self.b,
-                "r": str(self.r),
-                "depth": self.depth,
-                "l": list(self.schedule.l),
-                "N": list(self.schedule.N),
-                "L": list(self.schedule.L),
+                "a": sched.a,
+                "b": sched.b,
+                "r": str(sched.r),
+                "depth": sched.depth,
+                "l": list(sched.l),
+                "N": list(sched.N),
+                "L": list(sched.L),
                 "seed": self.seed,
                 "donors": self.donors,
                 "donor_tries": self.donor_tries,
@@ -299,7 +292,7 @@ def synthesize_point(
     with seeded pseudorandom digits and zeros out the rest of the level.
     Deterministic given the seed.
     """
-    a, b, r = schedule.a, schedule.b, schedule.r
+    a, b = schedule.a, schedule.b
     ab = a * b
     rng = random.Random(seed)
     digits = [0] * schedule.L[-1]
@@ -326,10 +319,6 @@ def synthesize_point(
         L_prev = L_k
     word = DigitWord(ab, tuple(digits))
     recipe = IrregularRecipe(
-        a=a,
-        b=b,
-        r=r,
-        depth=schedule.depth,
         schedule=schedule,
         seed=seed,
         donors=donors,
@@ -401,10 +390,10 @@ def verify_irregular(
     if len(word) < sched.L[-1]:
         raise ValueError("word shorter than the schedule's final level")
     x = point_of_word(word)
-    bump = bump_function(recipe.a, recipe.b, recipe.r)
-    bump_threshold = float((1 - Fraction(recipe.r)) ** 2 / 2)
+    bump = bump_function(sched.a, sched.b, sched.r)
+    bump_threshold = float((1 - Fraction(sched.r)) ** 2 / 2)
     Lmax = sched.L[-1]
-    fracs = orbit_fracs(x, recipe.a, recipe.b, Lmax)
+    fracs = orbit_fracs(x, sched.a, sched.b, Lmax)
     levels = []
     for k in range(1, sched.depth + 1):
         N_k = sched.N[k - 1]

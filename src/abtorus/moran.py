@@ -22,6 +22,12 @@ def _log_fraction(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
+def _entry(spec: dict, key: str):
+    if key not in spec:
+        raise ValueError(f"struct spec has no {key!r} entry")
+    return spec[key]
+
+
 @dataclass(frozen=True)
 class MoranStructure:
     """Either an explicit finite prefix or an eventually periodic spec (preamble + cycle)."""
@@ -70,8 +76,8 @@ class MoranStructure:
         if text.startswith("{"):
             obj = json.loads(text)
             return cls(
-                counts=tuple(obj["n"]),
-                ratios=tuple(Fraction(c) for c in obj["c"]),
+                counts=tuple(_entry(obj, "n")),
+                ratios=tuple(Fraction(c) for c in _entry(obj, "c")),
                 periodic=bool(obj.get("periodic", False)),
                 preamble=int(obj.get("preamble", 0)),
             )
@@ -83,8 +89,8 @@ class MoranStructure:
         for part in text.split(";"):
             key, _, val = part.partition("=")
             fields[key.strip()] = [v.strip() for v in val.split(",")]
-        counts = [int(n) for n in fields["n"]]
-        ratios = [Fraction(c) for c in fields["c"]]
+        counts = [int(n) for n in _entry(fields, "n")]
+        ratios = [Fraction(c) for c in _entry(fields, "c")]
         if periodic:
             # cycle the shorter list up to a common length
             m = math.lcm(len(counts), len(ratios))

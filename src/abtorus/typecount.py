@@ -2,14 +2,14 @@
 
 R(k, N, t) is the set of length-N words over k symbols whose empirical
 symbol distribution has entropy at most t; its exact cardinality is a
-sum of multinomial coefficients over admissible compositions.
+sum of multinomial coefficients over admissible sorted count vectors.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .torus import TorusPoint, apply_times, cylinder_of
 
@@ -37,9 +37,6 @@ class KDistribution:
     def __len__(self) -> int:
         return len(self.p)
 
-    def entropy(self) -> float:
-        return entropy(self)
-
 
 def entropy(p) -> float:
     """Shannon entropy -sum p_i log p_i in nats, with 0 log 0 = 0."""
@@ -62,53 +59,39 @@ def dist(word: Sequence[int], k: int | None = None) -> KDistribution:
     return KDistribution(tuple(Fraction(c, N) for c in counts))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multinomial(N: int, parts: Iterable[int]) -> int:
-    out = 1
-    rem = N
-    for c in parts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
-
-
 def count_R(k: int, N: int, t: float) -> int:
-    """Exact |R(k, N, t)|.
+    """Exact |R(k, N, t)|, by the method of types.
 
-    Sums multinomials over compositions whose empirical entropy is at
-    most t; ties at the threshold within ENTROPY_TOL count as inside.
+    Sums over non-increasing count vectors c_1 >= ... >= c_j > 0, j <= min(k, N),
+    with entropy log N - sum c log c / N at most t (ties within ENTROPY_TOL count
+    as inside): the multinomial N! / prod c! times the k! / ((k - j)! prod m_v!)
+    ways to give the counts to symbols, m_v the number of parts equal to v.
     """
-    if k < 1 or N < 1 or t < 0:
+    if k < 1 or N < 1 or not t >= 0:
         raise ValueError("need k >= 1, N >= 1, t >= 0")
-    logs = [0.0] * (N + 1)
-    for i in range(1, N + 1):
-        logs[i] = math.log(i)
-    log_N = logs[N]
+    clogc = [0.0] + [c * math.log(c) for c in range(1, N + 1)]
+    log_N = math.log(N)
     bound = t + ENTROPY_TOL
-    total = 0
-    if k == 2:
-        # walk C(N, j) incrementally; the generic path recomputes each
-        # multinomial from scratch, which is too slow for large N sweeps
-        binom = 1
-        for j in range(N + 1):
-            h = log_N - (j * logs[j] + (N - j) * logs[N - j]) / N
-            if h <= bound:
-                total += binom
-            binom = binom * (N - j) // (j + 1)
+
+    def walk(rem: int, top: int, slots: int, run: int, s: float, weight: int) -> int:
+        # k - slots parts so far, the last `run` equal to `top`; s is their sum of
+        # c log c, weight their multinomial times arrangements. A next part c <= top
+        # leaves rem - c <= (slots - 1) c: with two slots left, the rest is one part.
+        total = 0
+        lo = -(-rem // slots)
+        binom = math.comb(rem, lo)
+        for c in range(lo, min(rem, top) + 1):
+            r = run + 1 if c == top else 1
+            sc = s + clogc[c]
+            rest = rem - c
+            if rest and slots > 2:
+                total += walk(rest, c, slots - 1, r, sc, weight * binom * slots // r)
+            elif log_N - (sc + clogc[rest]) / N <= bound:  # c or rest is the last part
+                total += weight * binom * slots // r // (r + 1 if rest == c else 1)
+            binom = binom * rest // (c + 1)
         return total
-    for comp in _compositions(N, k):
-        h = log_N - sum(c * logs[c] for c in comp if c) / N
-        if h <= bound:
-            total += _multinomial(N, comp)
-    return total
+
+    return walk(N, N, k, 0, 0.0, 1)
 
 
 def growth_profile(k: int, t: float, N_list: Sequence[int]) -> list[tuple[int, float]]:

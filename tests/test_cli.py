@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from abtorus import irregular
-from abtorus.cli import build_default_family, mult_indep_check, run
+from abtorus.cli import build_default_family, build_parser, mult_indep_check, run
+
+GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
+COMMANDS = [
+    "orbit", "empirical", "fourier", "moran-dim", "box-dim", "synth-irregular",
+    "verify-irregular", "count-r", "growth", "itinerary", "kt-bound", "q-bound", "equidist",
+]
 
 
 def capture(capsys, argv):
@@ -241,3 +247,48 @@ def test_python_dash_m_entry_points():
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["orbit"] == [["1/5", "3/5"], ["2/5", "1/5"]]
     assert "RuntimeWarning" not in runs["abtorus"].stderr
+
+
+def test_help_text_matches_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = ""
+    for argv in [[]] + [[name] for name in COMMANDS]:
+        code, out, err = capture(capsys, argv + ["--help"])
+        assert (code, err) == (0, "")
+        text += out
+    assert text == GOLDEN_HELP.read_text()
+
+
+def test_parser_built_once_without_leaking_defaults(capsys):
+    assert build_parser() is build_parser()
+    argv = ["empirical", "-a", "2", "-b", "3", "-x", "1/5", "-N", "2"]
+    _, out, _ = capture(capsys, argv + ["-d", "5"])
+    assert len(json.loads(out)["weights"]) == 5
+    _, out, _ = capture(capsys, argv)
+    assert len(json.loads(out)["weights"]) == 10
+
+
+@pytest.mark.parametrize("cmd", [["moran-dim"], ["box-dim", "--depth", "2", "--scales", "1/3"]])
+@pytest.mark.parametrize(
+    "spec, key",
+    [("c=1/4", "n"), ("periodic", "n"), ("n=2,4", "c"), ('{"n": [2]}', "c"), ('{"c": ["1/3"]}', "n")],
+)
+def test_struct_spec_missing_key_exit_one(capsys, cmd, spec, key):
+    code, out, err = capture(capsys, [*cmd, "--struct", spec])
+    assert (code, out) == (1, "")
+    assert err == f"error: struct spec has no {key!r} entry\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count-r", "-K", "2", "-N", "5", "-t", "nan"], ["growth", "-K", "2", "-t", "nan", "--horizons", "5"]],
+)
+def test_nan_threshold_exit_one(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: need k >= 1, N >= 1, t >= 0\n"
+
+
+def test_count_r_alphabet_larger_than_length(capsys):
+    code, out, _ = capture(capsys, ["count-r", "-K", "1500", "-N", "2", "-t", "1"])
+    assert (code, out) == (0, "2250000\n")

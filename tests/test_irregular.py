@@ -208,7 +208,7 @@ def test_recipe_serialization(synth_d2):
     obj = json.loads(recipe.to_json())
     assert obj["seed"] == 0
     assert obj["N"] == list(recipe.schedule.N)
-    assert len(obj["donors"]) == recipe.depth
+    assert len(obj["donors"]) == recipe.schedule.depth
 
 
 def test_synthesized_point_in_donor_cylinder(synth_d2):

@@ -22,6 +22,7 @@ from abtorus import (
     q_bound,
 )
 from abtorus.torus import random_word
+from abtorus.typecount import ENTROPY_TOL
 
 
 def brute_count_R(k, N, t):
@@ -32,6 +33,26 @@ def brute_count_R(k, N, t):
         h = -sum(c / N * math.log(c / N) for c in counts.values())
         if h <= t + 1e-12:
             total += 1
+    return total
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def composition_count_R(k, N, t):
+    """Reference: the multinomial of every composition of N into k parts
+    (ordered counts, zeros allowed) whose entropy is at most t."""
+    total = 0
+    for comp in _compositions(N, k):
+        h = math.log(N) - sum(c * math.log(c) for c in comp if c) / N
+        if h <= t + ENTROPY_TOL:
+            total += math.factorial(N) // math.prod(math.factorial(c) for c in comp)
     return total
 
 
@@ -113,6 +134,31 @@ def test_count_R_against_brute_force():
         for N in (1, 3, 5, 8):
             for t in (0.0, 0.3, 0.5, math.log(k) if k > 1 else 0.1):
                 assert count_R(k, N, t) == brute_count_R(k, N, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 25), st.data())
+def test_count_R_matches_composition_sum(k, N, data):
+    if data.draw(st.booleans(), label="tie"):
+        # the threshold sits exactly on the entropy of a type class
+        cuts = sorted(data.draw(st.lists(st.integers(0, N), min_size=k - 1, max_size=k - 1)))
+        counts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, N])]
+        t = max(0.0, math.log(N) - sum(c * math.log(c) for c in counts if c) / N)
+    else:
+        t = data.draw(st.floats(0.0, math.log(k) + 0.1))
+    assert count_R(k, N, t) == composition_count_R(k, N, t)
+
+
+def test_count_R_alphabet_larger_than_length():
+    assert count_R(1500, 2, 1.0) == 1500**2
+    assert count_R(7, 3, 0.0) == 7
+    assert count_R(7, 3, math.log(3)) == 7**3
+
+
+@pytest.mark.parametrize("k, N, t", [(2, 5, math.nan), (2, 5, -0.1), (0, 5, 1.0), (2, 0, 1.0)])
+def test_count_R_rejects_bad_arguments(k, N, t):
+    with pytest.raises(ValueError, match="need k >= 1, N >= 1, t >= 0"):
+        count_R(k, N, t)
 
 
 def test_growth_profile():
