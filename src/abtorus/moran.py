@@ -22,10 +22,13 @@ def _log_fraction(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
-def _entry(spec: dict, key: str):
+def _entry(spec: dict, key: str) -> list:
     if key not in spec:
         raise ValueError(f"struct spec has no {key!r} entry")
-    return spec[key]
+    val = spec[key]
+    if not isinstance(val, list) or not all(isinstance(v, (int, float, str)) for v in val):
+        raise ValueError(f"struct spec {key!r} entry must be a list of numbers")
+    return val
 
 
 @dataclass(frozen=True)

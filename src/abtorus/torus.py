@@ -146,28 +146,31 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
     """The N rows of exact residues r[m, n] = a^m b^n num mod den of x = num/den.
 
     This is the one exact orbit kernel; its path depends only on the
-    denominator.  For den < 2^31 each row is an int64 array
-    pow(a, m, den) * bcol % den, whose products stay below 2^62.  Larger
-    denominators give object arrays of Python ints from the small-multiplier
-    recurrence z -> z * b % den, so memory stays O(N) per row.  The float
-    grid `orbit_fracs` reads r / den (correctly rounded) off these rows,
-    except when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its
-    digit automaton gives the same doubles without residues.
+    denominator.  Every power comes from a running product z -> z * c % den.
+    For den < 2^31 each row is an int64 array a^m * bcol % den, whose
+    products stay below 2^62.  Larger denominators give object arrays of
+    Python ints, so memory stays O(N) per row.  The float grid
+    `orbit_fracs` reads r / den (correctly rounded) off these rows, except
+    when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its digit
+    automaton gives the same doubles without residues.
     """
     den = x.den
     if den < 2**31:
-        bcol = np.array([pow(b, n, den) * x.num % den for n in range(N)], dtype=np.int64)
-        for m in range(N):
-            yield pow(a, m, den) * bcol % den
+        bcol = np.array(_running_products(x.num, b, den, N), dtype=np.int64)
+        for am in _running_products(1, a, den, N):
+            yield am * bcol % den
         return
-    start = x.num
+    for start in _running_products(x.num, a, den, N):
+        yield np.array(_running_products(start, b, den, N), dtype=object)
+
+
+def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
+    """z * c^n mod den for n < N (z itself unreduced at n = 0)."""
+    out = []
     for _ in range(N):
-        row, z = [], start
-        for _ in range(N):
-            row.append(z)
-            z = z * b % den
-        yield np.array(row, dtype=object)
-        start = start * a % den
+        out.append(z)
+        z = z * c % den
+    return out
 
 
 def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:

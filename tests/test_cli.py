@@ -280,6 +280,16 @@ def test_struct_spec_missing_key_exit_one(capsys, cmd, spec, key):
 
 
 @pytest.mark.parametrize(
+    "spec, key",
+    [('{"n": 2, "c": ["1/3"]}', "n"), ('{"n": [2], "c": "1/3"}', "c"), ('{"n": [2], "c": 0.5}', "c")],
+)
+def test_struct_spec_entry_not_a_list_exit_one(capsys, spec, key):
+    code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
+    assert (code, out) == (1, "")
+    assert err == f"error: struct spec {key!r} entry must be a list of numbers\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["count-r", "-K", "2", "-N", "5", "-t", "nan"], ["growth", "-K", "2", "-t", "nan", "--horizons", "5"]],
 )

@@ -3,22 +3,28 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abtorus import (
+    TorusPoint,
     build_test_family,
     bump_function,
     choose_schedule,
     estimate_X_measure,
     induced_moran_structure,
+    irregular,
     make_point,
     membership_X,
     modulus_l,
     moran_dims,
+    orbit_fracs,
     point_of_word,
     synthesize_point,
 )
-from abtorus.irregular import SAMPLE_DEN, ScheduleError
+from abtorus.irregular import SAMPLE_DEN, ScheduleError, _bin_weights, _family_averages
 
 GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 
@@ -55,6 +61,88 @@ def test_membership_generic_point_passes():
     fam = build_test_family(1)
     x = make_point(123456789, 1000000007)
     assert membership_X(x, 1, 60, fam, 2, 3)
+
+
+def reference_membership(x, k, N, family, a, b):
+    """The decision on the full-precision orbit averages."""
+    averages = _family_averages(orbit_fracs(x, a, b, N), family, k)
+    return all(abs(avg - f.integral) < 1.0 / (3.0 * k) for avg, f in zip(averages, family.functions))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=SAMPLE_DEN - 1),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([(2, 3), (3, 2), (2, 5)]),
+)
+def test_membership_matches_reference_decision(num, N, k, ab):
+    fam = build_test_family(4)
+    x = TorusPoint(num, SAMPLE_DEN)
+    assert membership_X(x, k, N, fam, *ab) == reference_membership(x, k, N, fam, *ab)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the calls of the full-precision `_family_averages`."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _family_averages(*args)
+
+    monkeypatch.setattr(irregular, "_family_averages", spy)
+    return calls
+
+
+# N = 1 points of one bin on both sides of a crossing of |f(x) - integral| = 1/3:
+# the bin-center estimate is within the slack of 1/3, so the call falls back.
+# At eta = 0.03 the crossings sit near the right (0.3706) and left (0.1294)
+# edges of their bins, at eta = 0.01 inside them.
+@pytest.mark.parametrize(
+    "eta, num, expected",
+    [
+        (0.03, 795854012, True),
+        (0.03, 795856012, False),
+        (0.03, 277885811, False),
+        (0.03, 277887811, True),
+        (0.01, 789378651, True),
+        (0.01, 789380651, False),
+        (0.01, 284361172, False),
+        (0.01, 284363172, True),
+    ],
+)
+def test_membership_falls_back_near_the_threshold(fallbacks, eta, num, expected):
+    fam = build_test_family(1, eta)
+    x = TorusPoint(num, SAMPLE_DEN)
+    assert membership_X(x, 1, 1, fam, 2, 3) is expected
+    assert len(fallbacks) == 1
+    assert reference_membership(x, 1, 1, fam, 2, 3) is expected
+
+
+def test_membership_decided_from_histogram_away_from_threshold(fallbacks):
+    fam = build_test_family(2)
+    assert membership_X(make_point(123456789, 1000000007), 2, 60, fam, 2, 3)
+    assert not membership_X(make_point(0, 1), 2, 30, fam, 2, 3)
+    assert fallbacks == []
+
+
+def test_membership_cell_rounding_to_one_joins_last_bin():
+    # digit path: 1 - 6^-30 rounds to 1.0, which is 0 on the circle
+    x = TorusPoint(6**30 - 1, 6**30)
+    fracs = orbit_fracs(x, 2, 3, 1)
+    assert fracs[0, 0] == 1.0
+    w = _bin_weights(fracs)
+    assert w.shape == (4096,) and w[-1] == 1.0 and w.sum() == 1.0
+    fam = build_test_family(4)
+    for k in range(1, 5):
+        assert membership_X(x, k, 1, fam, 2, 3) is reference_membership(x, k, 1, fam, 2, 3)
+
+
+def test_bin_weights_count_each_cell_once():
+    fracs = np.array([[0.0, 0.5 / 4096], [1 / 4096, 0.999]])
+    w = _bin_weights(fracs)
+    assert w[0] == 0.5 and w[1] == 0.25 and w[int(0.999 * 4096)] == 0.25 and w.sum() == 1.0
 
 
 def test_membership_rejects_bad_horizon():
