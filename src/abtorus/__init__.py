@@ -1,7 +1,6 @@
 """Exact-arithmetic laboratory for the times-a, times-b action on the circle."""
 
 from .torus import (
-    CylinderInterval,
     DigitWord,
     TorusPoint,
     apply_times,
@@ -31,7 +30,6 @@ from .irregular import (
     BumpFunction,
     IrregularRecipe,
     Schedule,
-    TestFamily,
     build_test_family,
     bump_function,
     choose_schedule,
@@ -44,7 +42,6 @@ from .irregular import (
 )
 from .typecount import (
     ChoiceRecord,
-    KDistribution,
     block_entropy_estimate,
     count_R,
     dist,

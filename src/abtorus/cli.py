@@ -25,7 +25,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload: dict, csv_lines: list[str] | None = None) -> None:
-    if args.format == "csv" and csv_lines is not None:
+    if args.format == "csv":
         sys.stdout.write("\n".join(csv_lines) + "\n")
     else:
         payload.setdefault("seed", args.seed)
@@ -64,6 +64,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
+    if args.format == "csv" and args.cmd not in _CSV_COMMANDS:
+        sys.stderr.write(f"error: {args.cmd} has no csv format\n")
+        return USAGE_ERROR
     try:
         return _COMMANDS[args.cmd][0](args) or 0  # a handler returns None for 0
     except irregular.ScheduleError as e:
@@ -102,7 +105,6 @@ def _empirical(args):
 def _fourier(args):
     x = torus.TorusPoint.parse(args.x)
     c = measures.fourier_average(x, args.a, args.b, args.N, args.K)
-    c = complex(c)
     _emit(args, {"k": args.K, "real": repr(c.real), "imag": repr(c.imag)})
 
 
@@ -159,7 +161,7 @@ def _itinerary(args):
         args,
         {
             "indices": list(rec.indices),
-            "q": [str(v) for v in rec.q.p],
+            "q": [str(v) for v in rec.q],
             "entropy": repr(typecount.entropy(rec.q)),
         },
     )
@@ -195,6 +197,8 @@ _STR_OPTIONS = {"-x", "-r", "-U", "--struct", "--scales", "--horizons"}
 _ORBIT = ("-a", "-b", "-x", "-N")
 _IRREGULAR = ("-a", "-b", "-r", ("--depth", 2, None))
 _ALPHABET = ("-K", None, "alphabet size k")
+# The subcommands with a --format csv form; the rest reject it as a usage error.
+_CSV_COMMANDS = {"orbit", "empirical", "growth", "equidist"}
 _COMMANDS = {
     "orbit": (_orbit, _ORBIT),
     "empirical": (_empirical, (*_ORBIT, ("-d", 10, None), ("-K", 16, None))),
@@ -215,7 +219,7 @@ _COMMANDS = {
 }
 
 
-def build_default_family(depth: int) -> irregular.TestFamily:
+def build_default_family(depth: int) -> tuple[irregular.TrigTestFunction, ...]:
     return irregular.build_test_family(max(depth, 2))
 
 

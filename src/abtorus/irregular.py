@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,27 +48,16 @@ class TrigTestFunction:
         return (1.0 - self.eta) * math.pi * self.freq
 
 
-@dataclass(frozen=True)
-class TestFamily:
-    eta: float
-    functions: tuple[TrigTestFunction, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.functions)
-
-
-def build_test_family(count: int, eta: float = 0.01) -> TestFamily:
+def build_test_family(count: int, eta: float = 0.01) -> tuple[TrigTestFunction, ...]:
     """Odd members are cosines, even members sines, with frequency ceil(i/2)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0 < eta < 1:
         raise ValueError("eta must be in (0, 1)")
-    funcs = tuple(
+    return tuple(
         TrigTestFunction(freq=(i + 2) // 2, kind="cos" if i % 2 == 0 else "sin", eta=eta)
         for i in range(count)
     )
-    return TestFamily(eta=eta, functions=funcs)
 
 
 @dataclass(frozen=True)
@@ -158,8 +147,8 @@ class ScheduleError(RuntimeError):
         self.estimate = estimate
 
 
-def _family_averages(fracs: np.ndarray, family: TestFamily, k: int) -> list[float]:
-    return [float(f(fracs).mean()) for f in family.functions[:k]]
+def _family_averages(fracs: np.ndarray, family: tuple[TrigTestFunction, ...], k: int) -> list[float]:
+    return [float(f(fracs).mean()) for f in family[:k]]
 
 
 # Histogram bins of the membership test: a power of two, so fracs * _BINS
@@ -176,7 +165,7 @@ def _bin_weights(fracs: np.ndarray) -> np.ndarray:
 
 
 def membership_X(
-    x: TorusPoint, k: int, N: int, family: TestFamily, a: int, b: int
+    x: TorusPoint, k: int, N: int, family: tuple[TrigTestFunction, ...], a: int, b: int
 ) -> bool:
     """True iff every i <= k orbit average is within 1/(3k) of the Lebesgue integral.
 
@@ -191,13 +180,13 @@ def membership_X(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if k < 1 or k > family.count:
+    if k < 1 or k > len(family):
         raise ValueError("k out of range for the family")
     fracs = orbit_fracs(x, a, b, N)
     tol = 1.0 / (3.0 * k)
     w = _bin_weights(fracs)
     undecided = False
-    for f in family.functions[:k]:
+    for f in family[:k]:
         margin = tol - abs(float(w @ f(_CENTERS)) - f.integral)
         slack = f.lipschitz / (2 * _BINS) + 1e-9
         if margin < -slack:
@@ -207,14 +196,14 @@ def membership_X(
         return True
     return all(
         abs(avg - f.integral) < tol
-        for avg, f in zip(_family_averages(fracs, family, k), family.functions)
+        for avg, f in zip(_family_averages(fracs, family, k), family)
     )
 
 
 def estimate_X_measure(
     k: int,
     N: int,
-    family: TestFamily,
+    family: tuple[TrigTestFunction, ...],
     a: int,
     b: int,
     samples: int,
@@ -235,11 +224,11 @@ def estimate_X_measure(
     return MeasureEstimate(value=p, half_width=half, samples=samples)
 
 
-def modulus_l(k: int, family: TestFamily, a: int, b: int) -> int:
+def modulus_l(k: int, family: tuple[TrigTestFunction, ...], a: int, b: int) -> int:
     """Smallest l with lip_max * (ab)^-l < 1/(3k) over the first k family members."""
-    if k < 1 or k > family.count:
+    if k < 1 or k > len(family):
         raise ValueError("k out of range for the family")
-    lip = max(f.lipschitz for f in family.functions[:k])
+    lip = max(f.lipschitz for f in family[:k])
     ab = a * b
     l = 1
     while lip * ab**-l >= 1.0 / (3.0 * k):
@@ -252,7 +241,7 @@ def choose_schedule(
     b: int,
     r: Fraction,
     depth: int,
-    family: TestFamily,
+    family: tuple[TrigTestFunction, ...],
     samples: int = 150,
     seed: int = 0,
     growth: float = 1.3,
@@ -275,7 +264,7 @@ def choose_schedule(
         raise ValueError("depth must be >= 1")
     if not 0 < r < 1:
         raise ValueError("r must be in (0, 1)")
-    if depth > family.count:
+    if depth > len(family):
         raise ValueError("family too small for the requested depth")
     ls: list[int] = []
     Ns: list[int] = []
@@ -314,7 +303,7 @@ def choose_schedule(
 
 def synthesize_point(
     schedule: Schedule,
-    family: TestFamily,
+    family: tuple[TrigTestFunction, ...],
     seed: int = 0,
     max_tries: int = 2000,
 ) -> tuple[DigitWord, IrregularRecipe]:
@@ -366,50 +355,27 @@ class LevelCheck:
     averages: list[float]  # orbit averages of the first k test functions at horizon N_k
     deviations: list[float]
     deviation_threshold: float  # 1/k
+    deviation_margins: list[float]  # threshold minus deviation
     bump_average: float  # at horizon L_k
     bump_threshold: float  # (1-r)^2 / 2
+    bump_margin: float  # average minus threshold
     passed: bool
-
-    @property
-    def deviation_margins(self) -> list[float]:
-        return [self.deviation_threshold - d for d in self.deviations]
-
-    @property
-    def bump_margin(self) -> float:
-        return self.bump_average - self.bump_threshold
 
 
 @dataclass
 class IrregularReport:
-    levels: list[LevelCheck]
-    bump_l: int
+    """A verification verdict; its JSON is these fields in order."""
+
     passed: bool
+    bump_l: int
+    levels: list[LevelCheck]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "bump_l": self.bump_l,
-                "levels": [
-                    {
-                        "level": lc.level,
-                        "averages": lc.averages,
-                        "deviations": lc.deviations,
-                        "deviation_threshold": lc.deviation_threshold,
-                        "deviation_margins": lc.deviation_margins,
-                        "bump_average": lc.bump_average,
-                        "bump_threshold": lc.bump_threshold,
-                        "bump_margin": lc.bump_margin,
-                        "passed": lc.passed,
-                    }
-                    for lc in self.levels
-                ],
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def verify_irregular(
-    word: DigitWord, recipe: IrregularRecipe, family: TestFamily
+    word: DigitWord, recipe: IrregularRecipe, family: tuple[TrigTestFunction, ...]
 ) -> IrregularReport:
     """Check the two oscillation inequalities on the synthesized word.
 
@@ -434,7 +400,7 @@ def verify_irregular(
         sub = fracs[:N_k, :N_k]
         averages = _family_averages(sub, family, k)
         deviations = [
-            abs(avg - f.integral) for avg, f in zip(averages, family.functions)
+            abs(avg - f.integral) for avg, f in zip(averages, family)
         ]
         bump_avg = float(bump(fracs[:L_k, :L_k]).mean())
         ok = all(d < 1.0 / k for d in deviations) and bump_avg > bump_threshold
@@ -444,13 +410,15 @@ def verify_irregular(
                 averages=averages,
                 deviations=deviations,
                 deviation_threshold=1.0 / k,
+                deviation_margins=[1.0 / k - d for d in deviations],
                 bump_average=bump_avg,
                 bump_threshold=bump_threshold,
+                bump_margin=bump_avg - bump_threshold,
                 passed=ok,
             )
         )
     return IrregularReport(
-        levels=levels, bump_l=bump.l, passed=all(lc.passed for lc in levels)
+        passed=all(lc.passed for lc in levels), bump_l=bump.l, levels=levels
     )
 
 

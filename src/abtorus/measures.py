@@ -8,7 +8,7 @@ metrizes the weak* topology at the stored truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import tau
 from typing import Callable, Sequence
@@ -50,6 +50,8 @@ class TestFunctionTarget:
 
 @dataclass
 class SemiEquidistReport:
+    """A semiequidistribution verdict; its JSON is these fields in order, verdict "pass"/"fail"."""
+
     t_claim: float
     target_measure: float
     horizons: list[int]
@@ -60,18 +62,7 @@ class SemiEquidistReport:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t_claim": self.t_claim,
-                "target_measure": self.target_measure,
-                "horizons": self.horizons,
-                "ratios": self.ratios,
-                "liminf_estimate": self.liminf_estimate,
-                "tolerance": self.tolerance,
-                "verdict": "pass" if self.verdict else "fail",
-                "meta": self.meta,
-            }
-        )
+        return json.dumps({**asdict(self), "verdict": "pass" if self.verdict else "fail"})
 
     def to_csv(self) -> str:
         lines = ["horizon,ratio"]
@@ -104,12 +95,17 @@ def empirical_measure(
     return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N)
 
 
+def _character(x: TorusPoint, a: int, b: int, N: int, k: int) -> np.ndarray:
+    """e^(2 pi i k a^m b^n x) over the N x N orbit grid."""
+    return np.exp(1j * k * (tau * orbit_fracs(x, a, b, N)))
+
+
 def _characters(x: TorusPoint, a: int, b: int, N: int, K: int):
-    """e^(2 pi i k a^m b^n x) over the N x N grid for k = 1..K, as powers of one grid.
+    """e^(2 pi i k a^m b^n x) for k = 1..K, as powers of the k = 1 grid of `_character`.
 
     The same complex array is updated in place (z *= e1) and yielded for each k.
     """
-    e1 = np.exp(1j * tau * orbit_fracs(x, a, b, N))
+    e1 = _character(x, a, b, N, 1)
     z = e1.copy()
     for k in range(1, K + 1):
         if k > 1:
@@ -121,10 +117,7 @@ def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
     """The Birkhoff average (1/N^2) sum e^(2 pi i k a^m b^n x)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if k == 0:
-        return 1
-    phases = tau * orbit_fracs(x, a, b, N)
-    return complex(np.exp(1j * k * phases).mean())
+    return complex(_character(x, a, b, N, k).mean())
 
 
 def lebesgue_reference(d: int = 1, K: int = 16) -> EmpiricalMeasure:
@@ -160,8 +153,7 @@ def invariance_defect(
         raise ValueError("k must be nonzero")
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
-    phases = tau * orbit_fracs(x, a, b, N + 1)
-    vals = np.exp(1j * k * phases)
+    vals = _character(x, a, b, N + 1, k)
     if map_choice == "a":
         shifted = vals[1 : N + 1, :N]
     else:

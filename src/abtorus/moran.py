@@ -41,6 +41,8 @@ class MoranStructure:
     preamble: int = 0  # number of leading non-cycling terms when periodic
 
     def __post_init__(self):
+        if any(isinstance(n, float) and not n.is_integer() for n in self.counts):
+            raise ValueError("child counts must be integers")
         counts = tuple(int(n) for n in self.counts)
         ratios = tuple(Fraction(c) for c in self.ratios)
         object.__setattr__(self, "counts", counts)
@@ -113,9 +115,6 @@ class DimensionPair:
     def __post_init__(self):
         if not -1e-12 <= self.s2 <= self.s1 + 1e-12 or self.s1 > 1 + 1e-12:
             raise ValueError(f"invalid dimension pair ({self.s1}, {self.s2})")
-
-    def to_json(self) -> str:
-        return json.dumps({"s1": repr(self.s1), "s2": repr(self.s2), "exact": self.exact})
 
 
 _BURN_IN = 10

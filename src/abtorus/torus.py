@@ -5,7 +5,6 @@ base-(a*b) digit words code points via the uniform Markov partition.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -68,40 +67,6 @@ class DigitWord:
     def __str__(self) -> str:
         sep = "" if self.base <= 10 else "."
         return f"b{self.base}:" + sep.join(str(d) for d in self.digits)
-
-    @classmethod
-    def parse(cls, text: str) -> "DigitWord":
-        head, _, body = text.partition(":")
-        if not head.startswith("b"):
-            raise ValueError(f"not a digit word: {text!r}")
-        base = int(head[1:])
-        if not body:
-            digits: tuple[int, ...] = ()
-        elif base <= 10:
-            digits = tuple(int(ch) for ch in body)
-        else:
-            digits = tuple(int(part) for part in body.split("."))
-        return cls(base, digits)
-
-
-@dataclass(frozen=True)
-class CylinderInterval:
-    """The interval [j/d, (j+1)/d] mod Z."""
-
-    depth: int
-    index: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if not 0 <= self.index < self.depth:
-            raise ValueError("index out of range")
-
-    def left(self) -> Fraction:
-        return Fraction(self.index, self.depth)
-
-    def right(self) -> Fraction:
-        return Fraction(self.index + 1, self.depth)
 
 
 def make_point(p: int, q: int) -> TorusPoint:
@@ -354,14 +319,8 @@ def point_of_word(w: DigitWord) -> TorusPoint:
     return TorusPoint(num, w.base ** len(w.digits))
 
 
-def cylinder_of(x: TorusPoint, d: int) -> CylinderInterval:
-    """The depth-d cylinder containing x, index floor(d*x) (left-closed convention)."""
+def cylinder_of(x: TorusPoint, d: int) -> int:
+    """Index floor(d*x) of the depth-d cylinder [j/d, (j+1)/d) containing x (left-closed)."""
     if d < 1:
         raise ValueError("depth must be >= 1")
-    return CylinderInterval(d, x.num * d // x.den)
-
-
-def random_word(base: int, length: int, seed: int) -> DigitWord:
-    """Seeded i.i.d.-digit word."""
-    rng = random.Random(seed)
-    return DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
+    return x.num * d // x.den

@@ -16,35 +16,12 @@ from .torus import TorusPoint, apply_times, cylinder_of
 ENTROPY_TOL = 1e-12  # documented tie tolerance for threshold comparisons
 
 
-@dataclass(frozen=True)
-class KDistribution:
-    """A probability vector; exact rationals when derived from counts."""
-
-    p: tuple
-
-    def __post_init__(self):
-        p = tuple(self.p)
-        object.__setattr__(self, "p", p)
-        if any(v < 0 for v in p):
-            raise ValueError("negative probability")
-        total = sum(p)
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise ValueError(f"mass {total} != 1")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mass {total} != 1")
-
-    def __len__(self) -> int:
-        return len(self.p)
-
-
 def entropy(p) -> float:
     """Shannon entropy -sum p_i log p_i in nats, with 0 log 0 = 0."""
-    vals = p.p if isinstance(p, KDistribution) else p
-    return -sum(float(v) * math.log(v) for v in vals if v > 0)
+    return -sum(float(v) * math.log(v) for v in p if v > 0)
 
 
-def dist(word: Sequence[int], k: int | None = None) -> KDistribution:
+def dist(word: Sequence[int], k: int | None = None) -> tuple[Fraction, ...]:
     """Empirical distribution of a word over symbols {1, ..., k}, exact rationals."""
     if len(word) == 0:
         raise ValueError("empty word")
@@ -56,7 +33,7 @@ def dist(word: Sequence[int], k: int | None = None) -> KDistribution:
             raise ValueError(f"symbol {s} outside 1..{k}")
         counts[s - 1] += 1
     N = len(word)
-    return KDistribution(tuple(Fraction(c, N) for c in counts))
+    return tuple(Fraction(c, N) for c in counts)
 
 
 def count_R(k: int, N: int, t: float) -> int:
@@ -112,8 +89,8 @@ class ChoiceRecord:
     M: int
     N: int
     indices: tuple[int, ...]  # 1-based refined-cell labels, one per orbit point
-    q: KDistribution
-    decimated: tuple[KDistribution, ...]  # q_{M,l} for 0 <= l < M
+    q: tuple[Fraction, ...]  # symbol distribution of the itinerary
+    decimated: tuple[tuple[Fraction, ...], ...]  # q_{M,l} for 0 <= l < M
 
 
 def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRecord:
@@ -129,7 +106,7 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
     pts = [x]
     for _ in range(N + M - 2):
         pts.append(apply_times(pts[-1], a))
-    cyl = [cylinder_of(p, d).index for p in pts]
+    cyl = [cylinder_of(p, d) for p in pts]
     k_M = d**M
     indices = []
     for n in range(N):

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ from abtorus import irregular
 from abtorus.cli import build_default_family, build_parser, mult_indep_check, run
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
+GOLDEN_EXAMPLES = json.loads((Path(__file__).parent / "golden" / "readme_examples.json").read_text())
+README = Path(__file__).parents[1] / "README.md"
 COMMANDS = [
     "orbit", "empirical", "fourier", "moran-dim", "box-dim", "synth-irregular",
     "verify-irregular", "count-r", "growth", "itinerary", "kt-bound", "q-bound", "equidist",
@@ -229,8 +233,8 @@ def test_mult_indep_check_values():
 
 
 def test_default_family_depth():
-    assert len(build_default_family(1).functions) == 2
-    assert len(build_default_family(3).functions) == 3
+    assert len(build_default_family(1)) == 2
+    assert len(build_default_family(3)) == 3
 
 
 def test_python_dash_m_entry_points():
@@ -302,3 +306,79 @@ def test_nan_threshold_exit_one(capsys, argv):
 def test_count_r_alphabet_larger_than_length(capsys):
     code, out, _ = capture(capsys, ["count-r", "-K", "1500", "-N", "2", "-t", "1"])
     assert (code, out) == (0, "2250000\n")
+
+
+# Minimal valid arguments of each subcommand with no CSV form.
+NO_CSV = {
+    "fourier": ["-a", "2", "-b", "3", "-x", "1/5", "-N", "2", "-K", "1"],
+    "moran-dim": ["--struct", "n=2;c=1/3 periodic"],
+    "box-dim": ["--struct", "n=2;c=1/3 periodic", "--depth", "2", "--scales", "1/3,1/9,1/27"],
+    "synth-irregular": ["-a", "2", "-b", "3", "-r", "1/2"],
+    "verify-irregular": ["-a", "2", "-b", "3", "-r", "1/2"],
+    "count-r": ["-K", "2", "-N", "3", "-t", "0.5"],
+    "itinerary": ["-a", "2", "-x", "1/3", "-d", "2", "-M", "1", "-N", "4"],
+    "kt-bound": ["-a", "2", "-b", "3", "-t", "0.1"],
+    "q-bound": ["-a", "2", "-t", "0.1"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(set(COMMANDS) - {"orbit", "empirical", "growth", "equidist"}))
+def test_csv_format_rejected_without_csv_form(capsys, cmd):
+    code, out, err = capture(capsys, [cmd, *NO_CSV[cmd], "--format", "csv"])
+    assert (code, out) == (64, "")
+    assert err == f"error: {cmd} has no csv format\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"n": [2.7, 2], "c": ["1/3", "1/3"]}', '{"n": [2, 0.5], "c": ["1/3", "1/3"], "periodic": true}'],
+)
+def test_struct_spec_fractional_count_exit_one(capsys, spec):
+    code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
+    assert (code, out) == (1, "")
+    assert err == "error: child counts must be integers\n"
+
+
+@pytest.mark.parametrize("counts", ["[2, 4]", "[2.0, 4]"])
+def test_struct_spec_integral_json_counts_match_compact_form(capsys, counts):
+    spec = f'{{"n": {counts}, "c": ["1/4", "1/4"], "periodic": true}}'
+    assert capture(capsys, ["moran-dim", "--struct", spec]) == capture(
+        capsys, ["moran-dim", "--struct", "n=2,4;c=1/4 periodic"]
+    )
+
+
+def readme_examples() -> list[str]:
+    """The command lines of the README "CLI examples" block, continuations joined."""
+    block = README.read_text().split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_examples_are_the_golden_corpus():
+    assert readme_examples() == list(GOLDEN_EXAMPLES)
+
+
+def serve_depth_two_from_fixtures(request, monkeypatch):
+    """Replace the depth-2 schedule search and verification with the session fixtures."""
+    schedule = request.getfixturevalue("schedule_d2")
+    word, _ = request.getfixturevalue("synth_d2")
+    report = request.getfixturevalue("report_d2")
+
+    def search(a, b, r, depth, family, seed):
+        assert (a, b, r, depth, seed) == (2, 3, Fraction(1, 2), 2, 0)
+        return schedule
+
+    def verify(w, recipe, family):
+        assert w == word and recipe.schedule == schedule
+        return report
+
+    monkeypatch.setattr(irregular, "choose_schedule", search)
+    monkeypatch.setattr(irregular, "verify_irregular", verify)
+
+
+@pytest.mark.parametrize("line", list(GOLDEN_EXAMPLES))
+def test_readme_example_matches_golden(capsys, monkeypatch, request, line):
+    argv = shlex.split(line)[1:]
+    if argv[0] in ("synth-irregular", "verify-irregular"):
+        serve_depth_two_from_fixtures(request, monkeypatch)
+    code, out, _ = capture(capsys, argv)
+    assert {"exit": code, "stdout": out} == GOLDEN_EXAMPLES[line]

@@ -31,12 +31,12 @@ GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 
 def test_family_values_and_integral():
     fam = build_test_family(4)
-    psi1, psi2 = fam.functions[0], fam.functions[1]
+    psi1, psi2 = fam[0], fam[1]
     assert psi1(0.0) == pytest.approx(1.0)
     assert psi2(0.0) == pytest.approx(0.505)
-    for f in fam.functions:
+    for f in fam:
         assert f.integral == pytest.approx(0.505)
-    assert fam.functions[2].freq == 2 and fam.functions[2].kind == "cos"
+    assert fam[2].freq == 2 and fam[2].kind == "cos"
 
 
 def test_family_bounds():
@@ -44,7 +44,7 @@ def test_family_bounds():
     import numpy as np
 
     xs = np.linspace(0, 1, 1001)
-    for f in fam.functions:
+    for f in fam:
         vals = f(xs)
         assert (vals > 0).all() and (vals <= 1 + 1e-12).all()
         # modulus of continuity on a fine grid
@@ -66,7 +66,7 @@ def test_membership_generic_point_passes():
 def reference_membership(x, k, N, family, a, b):
     """The decision on the full-precision orbit averages."""
     averages = _family_averages(orbit_fracs(x, a, b, N), family, k)
-    return all(abs(avg - f.integral) < 1.0 / (3.0 * k) for avg, f in zip(averages, family.functions))
+    return all(abs(avg - f.integral) < 1.0 / (3.0 * k) for avg, f in zip(averages, family))
 
 
 @settings(max_examples=400, deadline=None)

@@ -18,7 +18,7 @@ from abtorus import (
     weak_star_distance,
 )
 from abtorus import measures
-from abtorus.torus import random_word
+from words import random_word
 
 
 def test_point_mass_measure():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import (
-    KDistribution,
     block_entropy_estimate,
     count_R,
     dist,
@@ -21,7 +20,7 @@ from abtorus import (
     point_of_word,
     q_bound,
 )
-from abtorus.torus import random_word
+from words import random_word
 from abtorus.typecount import ENTROPY_TOL
 
 
@@ -62,15 +61,6 @@ def test_entropy_examples():
     assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5 * math.log(2), abs=1e-12)
 
 
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        KDistribution((0.5, 0.4))
-    with pytest.raises(ValueError):
-        KDistribution((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        KDistribution((1.5, -0.5))
-
-
 @settings(max_examples=200)
 @given(
     st.integers(2, 6),
@@ -87,8 +77,8 @@ def test_entropy_concavity(k, lam, data):
 
 
 def test_dist_examples():
-    assert dist((1, 1, 2)).p == (Fraction(2, 3), Fraction(1, 3))
-    assert dist((3, 3, 3), 3).p == (0, 0, 1)
+    assert dist((1, 1, 2)) == (Fraction(2, 3), Fraction(1, 3))
+    assert dist((3, 3, 3), 3) == (0, 0, 1)
     with pytest.raises(ValueError):
         dist(())
 
@@ -104,9 +94,9 @@ def test_dist_concatenation_identity():
         p1, p2 = dist(c1, k), dist(c2, k)
         weighted = tuple(
             (Fraction(n1) * a + Fraction(n2) * b) / (n1 + n2)
-            for a, b in zip(p1.p, p2.p)
+            for a, b in zip(p1, p2)
         )
-        assert joined.p == weighted
+        assert joined == weighted
 
 
 def test_count_R_examples():
@@ -185,7 +175,7 @@ def test_itinerary_fixed_point():
 
 def test_itinerary_period_two():
     rec = itinerary_choices(make_point(1, 3), 2, 2, 1, 4)
-    assert rec.q.p == (Fraction(1, 2), Fraction(1, 2))
+    assert rec.q == (Fraction(1, 2), Fraction(1, 2))
     assert entropy(rec.q) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -193,14 +183,14 @@ def test_itinerary_decimation_identity():
     # q is the length-weighted average of the decimated subword distributions
     x = make_point(5, 97)
     rec = itinerary_choices(x, 2, 2, 3, 12)
-    total = [Fraction(0)] * len(rec.q.p)
+    total = [Fraction(0)] * len(rec.q)
     weight = Fraction(0)
     for l, sub in enumerate(rec.decimated):
         n_l = len(rec.indices[l :: rec.M])
-        for i, v in enumerate(sub.p):
+        for i, v in enumerate(sub):
             total[i] += n_l * v
         weight += n_l
-    assert tuple(v / weight for v in total) == rec.q.p
+    assert tuple(v / weight for v in total) == rec.q
     # concavity consequence: some decimated subword has entropy <= H(q)
     assert min(entropy(s) for s in rec.decimated) <= entropy(rec.q) + 1e-12
 
