@@ -16,18 +16,29 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 def _log_fraction(f: Fraction) -> float:
     # math.log handles arbitrary-size integers
     return math.log(f.numerator) - math.log(f.denominator)
 
 
+def _fields(pairs: list[tuple[str, object]], keys: tuple[str, ...]) -> dict:
+    for i, (key, _) in enumerate(pairs):
+        if key not in keys or key in dict(pairs[:i]):
+            raise ValueError(f"struct spec key {key!r} is unknown or repeated")
+    return dict(pairs)
+
+
 def _entry(spec: dict, key: str) -> list:
     if key not in spec:
         raise ValueError(f"struct spec has no {key!r} entry")
     val = spec[key]
-    if not isinstance(val, list) or not all(isinstance(v, (int, float, str)) for v in val):
+    if not isinstance(val, list) or not all(type(v) in (int, float, str) for v in val):
         raise ValueError(f"struct spec {key!r} entry must be a list of numbers")
+    if not all(math.isfinite(v) for v in val if isinstance(v, float)):
+        raise ValueError(f"struct spec {key!r} entry must be finite")
     return val
 
 
@@ -41,6 +52,8 @@ class MoranStructure:
     preamble: int = 0  # number of leading non-cycling terms when periodic
 
     def __post_init__(self):
+        if type(self.periodic) is not bool or type(self.preamble) is not int:
+            raise ValueError("periodic must be true or false and preamble an integer")
         if any(isinstance(n, float) and not n.is_integer() for n in self.counts):
             raise ValueError("child counts must be integers")
         counts = tuple(int(n) for n in self.counts)
@@ -51,7 +64,7 @@ class MoranStructure:
             raise ValueError("counts and ratios must have equal length")
         if not counts:
             raise ValueError("empty structure")
-        if self.periodic and not 0 <= self.preamble < len(counts):
+        if not 0 <= self.preamble < (len(counts) if self.periodic else 1):
             raise ValueError("preamble out of range")
         for n, c in zip(counts, ratios):
             if n < 1:
@@ -79,21 +92,22 @@ class MoranStructure:
         """Parse the compact form "n=2,4;c=1/4 periodic" or an explicit JSON spec."""
         text = text.strip()
         if text.startswith("{"):
-            obj = json.loads(text)
+            obj = _fields(json.loads(text, object_pairs_hook=list), ("n", "c", "periodic", "preamble"))
             return cls(
                 counts=tuple(_entry(obj, "n")),
                 ratios=tuple(Fraction(c) for c in _entry(obj, "c")),
-                periodic=bool(obj.get("periodic", False)),
-                preamble=int(obj.get("preamble", 0)),
+                periodic=obj.get("periodic", False),
+                preamble=obj.get("preamble", 0),
             )
         periodic = False
         if text.endswith("periodic"):
             periodic = True
             text = text[: -len("periodic")].strip()
-        fields = {}
-        for part in text.split(";"):
+        pairs = []
+        for part in filter(None, text.split(";")):
             key, _, val = part.partition("=")
-            fields[key.strip()] = [v.strip() for v in val.split(",")]
+            pairs.append((key.strip(), [v.strip() for v in val.split(",")]))
+        fields = _fields(pairs, ("n", "c"))
         counts = [int(n) for n in _entry(fields, "n")]
         ratios = [Fraction(c) for c in _entry(fields, "c")]
         if periodic:
@@ -118,6 +132,7 @@ class DimensionPair:
 
 
 _BURN_IN = 10
+_BUDGET = 10**6  # most intervals a realization may hold
 
 
 def moran_dims(struct: MoranStructure, K: int) -> DimensionPair:
@@ -164,10 +179,18 @@ def moran_dims(struct: MoranStructure, K: int) -> DimensionPair:
     )
 
 
-def realize_intervals(
-    struct: MoranStructure, depth: int, budget: int = 10**6
-) -> list[tuple[Fraction, Fraction]]:
-    """Left-packed realization: (left endpoint, length) for every word of the given depth.
+@dataclass(frozen=True)
+class Realization:
+    lefts: np.ndarray  # ascending Python-int numerators of the left endpoints over den
+    length: int  # numerator of the length every interval shares
+    den: int
+
+    def __len__(self) -> int:
+        return len(self.lefts)
+
+
+def realize_intervals(struct: MoranStructure, depth: int) -> Realization:
+    """Left-packed realization of every word of the given depth.
 
     Children sit flush against the parent's left edge, so nesting,
     disjoint interiors and the exact ratio condition hold by
@@ -175,26 +198,22 @@ def realize_intervals(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    intervals = [(Fraction(0), Fraction(1))]
+    lefts, length, den = np.zeros(1, dtype=object), 1, 1
     for k in range(1, depth + 1):
         n, c = struct.term(k)
-        if len(intervals) * n > budget:
-            raise ValueError(f"interval budget {budget} exceeded at depth {k}")
-        intervals = [
-            (left + i * c * length, c * length)
-            for left, length in intervals
-            for i in range(n)
-        ]
-    return intervals
+        if len(lefts) * n > _BUDGET:
+            raise ValueError(f"interval budget {_BUDGET} exceeded at depth {k}")
+        lefts = (lefts[:, None] * c.denominator + np.arange(n, dtype=object) * length * c.numerator).ravel()
+        length *= c.numerator
+        den *= c.denominator
+    return Realization(lefts, length, den)
 
 
-def box_counting_estimate(
-    intervals: list[tuple[Fraction, Fraction]], scales: list[Fraction]
-) -> float:
+def box_counting_estimate(intervals: Realization, scales: list[Fraction]) -> float:
     """Least-squares slope of log N(eps) against log(1/eps).
 
     N(eps) counts half-open grid boxes [i*eps, (i+1)*eps) meeting some
-    interval; the box tests are exact rational comparisons.
+    interval; for eps = u/v those are boxes floor(left*v/(den*u)) to ceil(right*v/(den*u)) - 1.
     """
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
@@ -206,16 +225,12 @@ def box_counting_estimate(
             raise ValueError("scales must lie in (0, 1)")
     xs, ys = [], []
     for eps in scales:
-        boxes: set[int] = set()
-        for left, length in intervals:
-            right = left + length
-            i_min = left // eps
-            i_max = -((-right) // eps) - 1  # last box starting strictly before `right`
-            if i_max < i_min:
-                i_max = i_min
-            boxes.update(range(i_min, i_max + 1))
+        box = intervals.den * eps.numerator
+        first = intervals.lefts * eps.denominator // box
+        last = -(-(intervals.lefts + intervals.length) * eps.denominator // box) - 1
+        shared = np.count_nonzero(first[1:] == last[:-1])  # ascending disjoint intervals share only end boxes
         xs.append(-_log_fraction(eps))
-        ys.append(math.log(len(boxes)))
+        ys.append(math.log((last - first + 1).sum() - shared))
     x_bar = sum(xs) / len(xs)
     y_bar = sum(ys) / len(ys)
     sxx = sum((x - x_bar) ** 2 for x in xs)

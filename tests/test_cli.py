@@ -14,6 +14,7 @@ from abtorus.cli import build_default_family, build_parser, mult_indep_check, ru
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
 GOLDEN_EXAMPLES = json.loads((Path(__file__).parent / "golden" / "readme_examples.json").read_text())
+GOLDEN_BOX_DIM = json.loads((Path(__file__).parent / "golden" / "box_dim.json").read_text())
 README = Path(__file__).parents[1] / "README.md"
 COMMANDS = [
     "orbit", "empirical", "fourier", "moran-dim", "box-dim", "synth-irregular",
@@ -285,7 +286,12 @@ def test_struct_spec_missing_key_exit_one(capsys, cmd, spec, key):
 
 @pytest.mark.parametrize(
     "spec, key",
-    [('{"n": 2, "c": ["1/3"]}', "n"), ('{"n": [2], "c": "1/3"}', "c"), ('{"n": [2], "c": 0.5}', "c")],
+    [
+        ('{"n": 2, "c": ["1/3"]}', "n"),
+        ('{"n": [2], "c": "1/3"}', "c"),
+        ('{"n": [2], "c": 0.5}', "c"),
+        ('{"n": [true, true], "c": ["1/3", "1/3"]}', "n"),
+    ],
 )
 def test_struct_spec_entry_not_a_list_exit_one(capsys, spec, key):
     code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
@@ -337,6 +343,52 @@ def test_struct_spec_fractional_count_exit_one(capsys, spec):
     code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
     assert (code, out) == (1, "")
     assert err == "error: child counts must be integers\n"
+
+
+@pytest.mark.parametrize("spec", ['{"n": [2, 2], "c": [Infinity, "1/3"]}', '{"n": [2], "c": [1e400]}'])
+def test_struct_spec_non_finite_ratio_exit_one(capsys, spec):
+    code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
+    assert (code, out) == (1, "")
+    assert err == "error: struct spec 'c' entry must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    ['"periodic": true, "preamble": null', '"periodic": true, "preamble": 1.5', '"periodic": true, "preamble": true',
+     '"periodic": "no"'],
+)
+def test_struct_spec_periodic_and_preamble_types_exit_one(capsys, fields):
+    spec = f'{{"n": [2, 4], "c": ["1/4", "1/4"], {fields}}}'
+    code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
+    assert (code, out) == (1, "")
+    assert err == "error: periodic must be true or false and preamble an integer\n"
+
+
+def test_struct_spec_preamble_without_periodic_exit_one(capsys):
+    code, out, err = capture(capsys, ["moran-dim", "--struct", '{"n": [2, 2], "c": ["1/3", "1/3"], "preamble": 1}'])
+    assert (code, out) == (1, "")
+    assert err == "error: preamble out of range\n"
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ('{"n": [2], "c": ["1/3"], "peroidic": true}', "peroidic"),
+        ('{"n": [2], "c": ["1/3"], "c": ["1/4"], "periodic": true}', "c"),
+        ("n=2;c=1/3;x=5 periodic", "x"),
+        ("n=2;c=1/3;c=1/4 periodic", "c"),
+    ],
+)
+def test_struct_spec_unknown_or_repeated_key_exit_one(capsys, spec, key):
+    code, out, err = capture(capsys, ["moran-dim", "--struct", spec])
+    assert (code, out) == (1, "")
+    assert err == f"error: struct spec key {key!r} is unknown or repeated\n"
+
+
+@pytest.mark.parametrize("line", list(GOLDEN_BOX_DIM))
+def test_box_dim_matches_golden(capsys, line):
+    code, out, _ = capture(capsys, shlex.split(line)[1:])
+    assert {"exit": code, "stdout": out} == GOLDEN_BOX_DIM[line]
 
 
 @pytest.mark.parametrize("counts", ["[2, 4]", "[2.0, 4]"])

@@ -1,16 +1,54 @@
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abtorus import MoranStructure, box_counting_estimate, moran_dims, realize_intervals
+from abtorus.moran import Realization
 
 
 def periodic(n_list, c_list):
     spec = "n=" + ",".join(map(str, n_list)) + ";c=" + ",".join(map(str, c_list)) + " periodic"
     return MoranStructure.parse(spec)
+
+
+def endpoints(realization):
+    """(left endpoint, length) of every interval, as Fractions."""
+    den = realization.den
+    return [(Fraction(left, den), Fraction(realization.length, den)) for left in realization.lefts]
+
+
+def _realize_reference(struct, depth):
+    """Slow exact reference: (left, length) Fraction pairs, one interval at a time."""
+    intervals = [(Fraction(0), Fraction(1))]
+    for k in range(1, depth + 1):
+        n, c = struct.term(k)
+        intervals = [(left + i * c * length, c * length) for left, length in intervals for i in range(n)]
+    return intervals
+
+
+def _box_reference(intervals, scales):
+    """Slow exact reference: the set of boxes each Fraction interval meets, then the same regression."""
+    xs, ys = [], []
+    for eps in map(Fraction, scales):
+        boxes = set()
+        for left, length in intervals:
+            i_min = left // eps
+            i_max = -((-(left + length)) // eps) - 1  # last box starting strictly before the right end
+            if i_max < i_min:
+                i_max = i_min
+            boxes.update(range(i_min, i_max + 1))
+        xs.append(math.log(eps.denominator) - math.log(eps.numerator))
+        ys.append(math.log(len(boxes)))
+    x_bar = sum(xs) / len(xs)
+    y_bar = sum(ys) / len(ys)
+    sxx = sum((x - x_bar) ** 2 for x in xs)
+    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    return sxy / sxx
 
 
 def test_full_packing_dimension_one():
@@ -80,8 +118,8 @@ def test_reciprocal_ratio_gives_dimension_one():
 
 def test_realize_depth_zero_and_one():
     struct = periodic([2], ["1/3"])
-    assert realize_intervals(struct, 0) == [(Fraction(0), Fraction(1))]
-    assert realize_intervals(struct, 1) == [
+    assert endpoints(realize_intervals(struct, 0)) == [(Fraction(0), Fraction(1))]
+    assert endpoints(realize_intervals(struct, 1)) == [
         (Fraction(0), Fraction(1, 3)),
         (Fraction(1, 3), Fraction(1, 3)),
     ]
@@ -89,7 +127,7 @@ def test_realize_depth_zero_and_one():
 
 def test_realize_depth_two_left_packed():
     struct = periodic([2], ["1/3"])
-    got = realize_intervals(struct, 2)
+    got = endpoints(realize_intervals(struct, 2))
     assert [left for left, _ in got] == [
         Fraction(0),
         Fraction(1, 9),
@@ -101,8 +139,8 @@ def test_realize_depth_two_left_packed():
 
 def test_realize_nesting_and_ratio():
     struct = periodic([2, 3], ["1/4", "1/5"])
-    parents = realize_intervals(struct, 1)
-    children = realize_intervals(struct, 2)
+    parents = endpoints(realize_intervals(struct, 1))
+    children = endpoints(realize_intervals(struct, 2))
     n2, c2 = struct.term(2)
     for left, length in children:
         holders = [
@@ -113,9 +151,9 @@ def test_realize_nesting_and_ratio():
 
 
 def test_realize_budget():
-    struct = periodic([10], ["1/10"])
+    struct = periodic([1001], ["1/1001"])
     with pytest.raises(ValueError):
-        realize_intervals(struct, 8, budget=10**4)
+        realize_intervals(struct, 2)
 
 
 def test_box_counting_full_circle():
@@ -150,11 +188,63 @@ def test_box_counting_within_dimension_band():
 
 
 def test_box_counting_input_validation():
-    intervals = [(Fraction(0), Fraction(1, 2))]
+    intervals = Realization(np.array([0], dtype=object), 1, 2)  # [0, 1/2)
     with pytest.raises(ValueError):
         box_counting_estimate(intervals, [Fraction(1, 4), Fraction(1, 8)])
     with pytest.raises(ValueError):
         box_counting_estimate(intervals, [Fraction(1, 4)] * 3)
+
+
+@st.composite
+def realizations_and_scales(draw):
+    """A structure of p/q ratios, explicit or periodic with a preamble, a depth <= 5, and scales.
+
+    The scales mix small-denominator ones (coarse, and down to 1/20000),
+    ones with a denominator v >= 2**63, and multiples and fractions of the
+    interval length, so boxes both hold many intervals and split one.
+    """
+    counts, ratios = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(2, 12))
+        p = draw(st.integers(1, q - 1))
+        counts.append(draw(st.integers(1, min(4, q // p))))
+        ratios.append(Fraction(p, q))
+    if draw(st.booleans()):
+        preamble = draw(st.integers(0, len(counts) - 1))
+        struct = MoranStructure(tuple(counts), tuple(ratios), periodic=True, preamble=preamble)
+        depth = draw(st.integers(0, 5))
+    else:
+        struct = MoranStructure(tuple(counts), tuple(ratios))
+        depth = draw(st.integers(0, len(counts)))
+    length = math.prod((struct.term(k)[1] for k in range(1, depth + 1)), start=Fraction(1))
+    big = st.integers(2**63, 2**66).flatmap(lambda v: st.builds(Fraction, st.integers(v // 20000, v - 1), st.just(v)))
+    scale = st.one_of(
+        st.builds(Fraction, st.integers(1, 50), st.integers(51, 20000)),
+        big,
+        st.builds(lambda m, k: length * Fraction(m, k), st.integers(1, 8), st.integers(1, 8)),
+    )
+    scales = [e for e in draw(st.lists(scale, min_size=3, max_size=6)) if 0 < e < 1]
+    assume(len(scales) >= 3 and len(set(scales)) >= 2)
+    return struct, depth, scales
+
+
+@settings(max_examples=100, deadline=None)
+@given(realizations_and_scales())
+def test_lattice_realization_and_box_count_match_fraction_reference(case):
+    struct, depth, scales = case
+    realization = realize_intervals(struct, depth)
+    reference = _realize_reference(struct, depth)
+    assert endpoints(realization) == reference
+    assert box_counting_estimate(realization, scales) == _box_reference(reference, scales)
+
+
+def test_box_counting_fine_scales_need_no_box_set():
+    # A set of box indices would hold 5*10**11 ints at eps = 10**-12.
+    intervals = realize_intervals(periodic([1], ["1/2"]), 1)
+    start = time.perf_counter()
+    est = box_counting_estimate(intervals, [Fraction(1, 10**j) for j in (10, 11, 12)])
+    assert time.perf_counter() - start < 1.0
+    assert est == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parse_json_form():
