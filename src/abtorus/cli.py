@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import irregular, measures, moran, torus, typecount
@@ -28,7 +29,8 @@ def _emit(args, payload: dict, csv_lines: list[str] | None = None) -> None:
     if args.format == "csv":
         sys.stdout.write("\n".join(csv_lines) + "\n")
     else:
-        payload.setdefault("seed", args.seed)
+        if args.cmd != "equidist":  # the equidist report has never carried a seed
+            payload.setdefault("seed", args.seed)
         sys.stdout.write(json.dumps(payload) + "\n")
 
 
@@ -134,13 +136,16 @@ def _synthesize(args):
 
 def _synth_irregular(args):
     word, recipe, _ = _synthesize(args)
-    _emit(args, {"recipe": json.loads(recipe.to_json()), "word": str(word)})
+    sched = recipe.schedule  # golden key order: the schedule with depth after r, then the rest
+    fields = dict(a=sched.a, b=sched.b, r=str(sched.r), depth=sched.depth, l=sched.l, N=sched.N, L=sched.L)
+    fields.update(seed=recipe.seed, donors=recipe.donors, donor_tries=recipe.donor_tries)
+    _emit(args, {"recipe": fields, "word": str(word)})
 
 
 def _verify_irregular(args):
     word, recipe, family = _synthesize(args)
     report = irregular.verify_irregular(word, recipe, family)
-    _emit(args, json.loads(report.to_json()))
+    _emit(args, asdict(report))
     return 0 if report.passed else 2
 
 
@@ -182,10 +187,8 @@ def _equidist(args):
     report = measures.semiequidist_profile(
         x, args.a, args.b, (lo, hi), _horizons(args.horizons), args.t
     )
-    if args.format == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        sys.stdout.write(report.to_json() + "\n")
+    csv = ["horizon,ratio"] + [f"{N},{v!r}" for N, v in zip(report.horizons, report.ratios)]
+    _emit(args, {**asdict(report), "verdict": "pass" if report.verdict else "fail"}, csv)
     return 0 if report.verdict else 2
 
 

@@ -10,10 +10,9 @@ oscillate.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +23,7 @@ from .torus import DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
 SAMPLE_DEN = 2_147_483_647
+_MAX_TRIES = 2000  # donor draws per level before synthesize_point gives up
 
 
 @dataclass(frozen=True)
@@ -120,23 +120,6 @@ class IrregularRecipe:
     donors: list[str] = field(default_factory=list)  # one sampled point per level
     donor_tries: list[int] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        sched = self.schedule
-        return json.dumps(
-            {
-                "a": sched.a,
-                "b": sched.b,
-                "r": str(sched.r),
-                "depth": sched.depth,
-                "l": list(sched.l),
-                "N": list(sched.N),
-                "L": list(sched.L),
-                "seed": self.seed,
-                "donors": self.donors,
-                "donor_tries": self.donor_tries,
-            }
-        )
-
 
 class ScheduleError(RuntimeError):
     """Raised when the empirical measure condition cannot be met within the search bound."""
@@ -178,8 +161,6 @@ def membership_X(
     is undecided, every test is recomputed from `_family_averages`.  The
     answer is the reference decision on the averages, every call.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if k < 1 or k > len(family):
         raise ValueError("k out of range for the family")
     fracs = orbit_fracs(x, a, b, N)
@@ -208,7 +189,6 @@ def estimate_X_measure(
     b: int,
     samples: int,
     seed: int,
-    den: int = SAMPLE_DEN,
 ) -> MeasureEstimate:
     """Monte Carlo estimate of the measure of the good set at horizon N."""
     if samples < 100:
@@ -216,7 +196,7 @@ def estimate_X_measure(
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
-        x = TorusPoint(rng.randrange(1, den), den)
+        x = TorusPoint(rng.randrange(1, SAMPLE_DEN), SAMPLE_DEN)
         if membership_X(x, k, N, family, a, b):
             hits += 1
     p = hits / samples
@@ -305,7 +285,6 @@ def synthesize_point(
     schedule: Schedule,
     family: tuple[TrigTestFunction, ...],
     seed: int = 0,
-    max_tries: int = 2000,
 ) -> tuple[DigitWord, IrregularRecipe]:
     """Build a digit word of length L_depth following the level-block recipe.
 
@@ -325,7 +304,7 @@ def synthesize_point(
         N_k = schedule.N[k - 1]
         L_k = schedule.L[k - 1]
         rL = schedule.floor_rL(k)
-        for tries in range(1, max_tries + 1):
+        for tries in range(1, _MAX_TRIES + 1):
             donor = TorusPoint(rng.randrange(1, SAMPLE_DEN), SAMPLE_DEN)
             if membership_X(donor, k, N_k, family, a, b):
                 break
@@ -364,14 +343,11 @@ class LevelCheck:
 
 @dataclass
 class IrregularReport:
-    """A verification verdict; its JSON is these fields in order."""
+    """A verification verdict, one LevelCheck per level."""
 
     passed: bool
     bump_l: int
     levels: list[LevelCheck]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def verify_irregular(

@@ -7,8 +7,7 @@ metrizes the weak* topology at the stored truncation.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import tau
 from typing import Callable, Sequence
@@ -50,7 +49,7 @@ class TestFunctionTarget:
 
 @dataclass
 class SemiEquidistReport:
-    """A semiequidistribution verdict; its JSON is these fields in order, verdict "pass"/"fail"."""
+    """A semiequidistribution verdict at finite horizons."""
 
     t_claim: float
     target_measure: float
@@ -60,14 +59,6 @@ class SemiEquidistReport:
     tolerance: float
     verdict: bool
     meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({**asdict(self), "verdict": "pass" if self.verdict else "fail"})
-
-    def to_csv(self) -> str:
-        lines = ["horizon,ratio"]
-        lines += [f"{n},{v!r}" for n, v in zip(self.horizons, self.ratios)]
-        return "\n".join(lines) + "\n"
 
 
 def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
@@ -115,8 +106,6 @@ def _characters(x: TorusPoint, a: int, b: int, N: int, K: int):
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
     """The Birkhoff average (1/N^2) sum e^(2 pi i k a^m b^n x)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return complex(_character(x, a, b, N, k).mean())
 
 

@@ -133,6 +133,7 @@ class DimensionPair:
 
 _BURN_IN = 10
 _BUDGET = 10**6  # most intervals a realization may hold
+_MAX_DEPTH = 10**4  # deepest realization: numerators grow with depth, so cost is quadratic in it
 
 
 def moran_dims(struct: MoranStructure, K: int) -> DimensionPair:
@@ -198,6 +199,8 @@ def realize_intervals(struct: MoranStructure, depth: int) -> Realization:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the limit {_MAX_DEPTH}")
     lefts, length, den = np.zeros(1, dtype=object), 1, 1
     for k in range(1, depth + 1):
         n, c = struct.term(k)

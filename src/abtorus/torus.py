@@ -74,32 +74,16 @@ def make_point(p: int, q: int) -> TorusPoint:
     return TorusPoint(p, q)
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root."""
-    if n < 2:
-        return n
-    x = int(round(n ** (1.0 / k)))
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
-def _primitive_base(n: int) -> int:
-    """Smallest c with n = c^j for some j >= 1."""
-    for j in range(n.bit_length(), 0, -1):
-        c = _iroot(n, j)
-        if c >= 2 and c**j == n:
-            return c
-    return n
-
-
 def mult_indep_check(a: int, b: int) -> bool:
     """False iff a and b are powers of a common integer base (log a / log b rational)."""
     if a < 2 or b < 2:
         raise ValueError("a, b must be >= 2")
-    return _primitive_base(a) != _primitive_base(b)
+    while a != b:  # Euclid on the exponents: a > b are dependent iff b | a and a / b, b are
+        a, b = max(a, b), min(a, b)
+        if a % b:
+            return True
+        a //= b
+    return False
 
 
 def apply_times(x: TorusPoint, c: int) -> TorusPoint:
@@ -117,16 +101,19 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
     Python ints, so memory stays O(N) per row.  The float grid
     `orbit_fracs` reads r / den (correctly rounded) off these rows, except
     when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its digit
-    automaton gives the same doubles without residues.
+    automaton gives the same doubles without residues.  a, b < 2 and N < 1
+    are rejected at the call, before any row is built.
     """
+    if min(a, b) < 2:
+        raise ValueError("a, b must be >= 2")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     den = x.den
     if den < 2**31:
         bcol = np.array(_running_products(x.num, b, den, N), dtype=np.int64)
-        for am in _running_products(1, a, den, N):
-            yield am * bcol % den
-        return
-    for start in _running_products(x.num, a, den, N):
-        yield np.array(_running_products(start, b, den, N), dtype=object)
+        return (am * bcol % den for am in _running_products(1, a, den, N))
+    starts = _running_products(x.num, a, den, N)
+    return (np.array(_running_products(z, b, den, N), dtype=object) for z in starts)
 
 
 def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
@@ -140,10 +127,6 @@ def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
 
 def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
     """The N x N array of points a^m b^n x, read off the rows of `orbit_residues`."""
-    if a < 2 or b < 2:
-        raise ValueError("a, b must be >= 2")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return [[TorusPoint(r, x.den) for r in row.tolist()] for row in orbit_residues(x, a, b, N)]
 
 
@@ -159,11 +142,12 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
 
     Each cell is the double nearest the exact point, so the paths agree.
     """
-    K = _digit_length(x, a, b)
-    if K:
+    K = _digit_length(x, a, b)  # 0 unless a, b >= 2
+    if K and N >= 1:  # a bad N falls through to the kernel's check
         return _digit_fracs(x, a, b, N, K)
+    rows = orbit_residues(x, a, b, N)  # checks a, b and N before the grid is allocated
     out = np.empty((N, N))
-    for m, row in enumerate(orbit_residues(x, a, b, N)):
+    for m, row in enumerate(rows):
         out[m] = row / x.den
     return out
 
@@ -171,7 +155,7 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
 def _digit_length(x: TorusPoint, a: int, b: int) -> int:
     """Least K with den | (ab)^K when x, a, b take the digit path; 0 otherwise."""
     rest, ab = x.den, a * b
-    if rest < 2**31 or min(a, b) < 1 or ab < 2 or ab * ab > 2**53:
+    if rest < 2**31 or min(a, b) < 2 or ab * ab > 2**53:
         return 0
     K = 0
     while rest > 1:  # step K removes gcd(rest, ab): one more factor ab of den

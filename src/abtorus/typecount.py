@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .torus import TorusPoint, apply_times, cylinder_of
+from .torus import TorusPoint, _running_products
 
 ENTROPY_TOL = 1e-12  # documented tie tolerance for threshold comparisons
 
@@ -103,10 +103,9 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
     """
     if d < 1 or M < 1 or N < 1:
         raise ValueError("need d >= 1, M >= 1, N >= 1")
-    pts = [x]
-    for _ in range(N + M - 2):
-        pts.append(apply_times(pts[-1], a))
-    cyl = [cylinder_of(p, d) for p in pts]
+    if a < 2:
+        raise ValueError("a must be >= 2")
+    cyl = [r * d // x.den for r in _running_products(x.num, a, x.den, N + M - 1)]  # floor(d a^n x)
     k_M = d**M
     indices = []
     for n in range(N):

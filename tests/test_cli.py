@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abtorus import irregular
 from abtorus.cli import build_default_family, build_parser, mult_indep_check, run
@@ -229,8 +231,54 @@ def test_mult_indep_check_values():
     assert mult_indep_check(4, 8) is False
     assert mult_indep_check(6, 12) is True
     assert mult_indep_check(9, 27) is False
+    assert mult_indep_check(10**400, 10**150) is False  # beyond float range
+    assert mult_indep_check(10**400, 3) is True
+    assert mult_indep_check(2**1000 * 3, 2**999 * 3) is True
+    assert mult_indep_check(12**401, 144**7) is False
     with pytest.raises(ValueError):
         mult_indep_check(1, 2)
+
+
+def _dependent_reference(a, b):
+    """a = c^p and b = c^q are dependent: a^q = b^p with q <= log2 b and p <= log2 a."""
+    return any(a**q == b**p for q in range(1, b.bit_length()) for p in range(1, a.bit_length()))
+
+
+# Pairs c^i m, c^j (dependent when m = 1) and unrelated pairs.
+power_pairs = st.builds(
+    lambda c, i, j, m: (c**i * m, c**j),
+    st.integers(2, 12), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+)
+free_pairs = st.tuples(st.integers(2, 2000), st.integers(2, 2000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(power_pairs, free_pairs), st.booleans())
+def test_mult_indep_check_matches_brute_force(pair, swap):
+    a, b = pair[::-1] if swap else pair
+    assert mult_indep_check(a, b) is not _dependent_reference(a, b)
+
+
+def test_orbit_with_huge_multiplier_is_exact(capsys):
+    a = 10**400
+    code, out, err = capture(capsys, ["orbit", "-a", str(a), "-b", "3", "-x", "1/7", "-N", "3"])
+    assert (code, err) == (0, "")
+    want = [[f"{pow(a, m, 7) * 3**n % 7}/7" for n in range(3)] for m in range(3)]
+    assert json.loads(out)["orbit"] == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fourier", "-a", "1", "-b", "3", "-x", "1/5", "-N", "3", "-K", "1"], "a, b must be >= 2"),
+        (["fourier", "-a", "0", "-b", "0", "-x", "1/5", "-N", "3", "-K", "1"], "a, b must be >= 2"),
+        (["itinerary", "-a", "0", "-x", "1/5", "-d", "2", "-M", "2", "-N", "4"], "a must be >= 2"),
+        (["box-dim", "--struct", "n=1;c=1/2 periodic", "--depth", "10001", "--scales", "1/3,1/9,1/27"],
+         "depth 10001 exceeds the limit 10000"),
+    ],
+)
+def test_out_of_range_input_exit_one(capsys, argv, message):
+    assert capture(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def test_default_family_depth():

@@ -13,6 +13,7 @@ from abtorus import (
     build_test_family,
     bump_function,
     choose_schedule,
+    cli,
     estimate_X_measure,
     induced_moran_structure,
     irregular,
@@ -250,14 +251,26 @@ def test_synthesis_determinism(family2):
     assert w1 != w3
 
 
-def test_depth_two_pipeline_matches_golden(synth_d2, report_d2):
+def _cli_stdout(cmd, synth, report, monkeypatch, capsys):
+    """stdout of `abtorus <cmd> -a 2 -b 3 -r 1/2` with the depth-2 fixtures in place of the search."""
+    word, recipe = synth
+    monkeypatch.setattr(cli, "_synthesize", lambda args: (word, recipe, None))
+    monkeypatch.setattr(irregular, "verify_irregular", lambda *args: report)
+    assert cli.run([cmd, "-a", "2", "-b", "3", "-r", "1/2"]) == 0
+    return capsys.readouterr().out
+
+
+def test_depth_two_pipeline_matches_golden(synth_d2, report_d2, monkeypatch, capsys):
     # a=2, b=3, r=1/2, seed 0; captured before the digit-automaton orbit path
     golden = json.loads(GOLDEN_D2.read_text())
-    assert synth_d2[1].to_json() == golden["recipe"]
-    assert report_d2.to_json() == golden["report"]
+    word = json.dumps(str(synth_d2[0]))
+    synth_out = _cli_stdout("synth-irregular", synth_d2, report_d2, monkeypatch, capsys)
+    assert synth_out == f'{{"recipe": {golden["recipe"]}, "word": {word}, "seed": 0}}\n'
+    verify_out = _cli_stdout("verify-irregular", synth_d2, report_d2, monkeypatch, capsys)
+    assert verify_out == golden["report"][:-1] + ', "seed": 0}\n'
 
 
-def test_verify_report_passes(report_d2):
+def test_verify_report_passes(synth_d2, report_d2, monkeypatch, capsys):
     rep = report_d2
     assert rep.passed
     assert rep.bump_l == 2
@@ -265,7 +278,7 @@ def test_verify_report_passes(report_d2):
         assert all(m > 0 for m in lc.deviation_margins)
         assert lc.bump_margin > 0
         assert lc.bump_threshold == pytest.approx(0.125)
-    assert "passed" in rep.to_json()
+    assert json.loads(_cli_stdout("verify-irregular", synth_d2, rep, monkeypatch, capsys))["passed"] is True
 
 
 def test_bump_function_values():
@@ -289,11 +302,9 @@ def test_induced_moran_structure(schedule_d2):
     assert 0 < dims.s2 <= dims.s1 <= 1 + 1e-12
 
 
-def test_recipe_serialization(synth_d2):
+def test_recipe_serialization(synth_d2, report_d2, monkeypatch, capsys):
     word, recipe = synth_d2
-    import json
-
-    obj = json.loads(recipe.to_json())
+    obj = json.loads(_cli_stdout("synth-irregular", synth_d2, report_d2, monkeypatch, capsys))["recipe"]
     assert obj["seed"] == 0
     assert obj["N"] == list(recipe.schedule.N)
     assert len(obj["donors"]) == recipe.schedule.depth

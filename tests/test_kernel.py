@@ -160,6 +160,17 @@ def test_digit_length_rule():
     assert _digit_length(TorusPoint(1, 6**40), 2**20, 3**10) == 0  # (ab)^2 > 2^53
 
 
+@pytest.mark.parametrize("x", [TorusPoint(1, 5), TorusPoint(1, 6**40), TorusPoint(1, 6**40 * 5)])
+@pytest.mark.parametrize("a, b, N", [(1, 3, 3), (2, 1, 3), (0, 0, 3), (2, 3, 0), (2, 3, -1)])
+def test_kernel_rejects_bad_multipliers_and_sides(x, a, b, N):
+    """Each path rejects a, b < 2 and N < 1 at the call, the digit path included."""
+    msg = "a, b must be >= 2" if min(a, b) < 2 else "N must be >= 1"
+    with pytest.raises(ValueError, match=msg):
+        orbit_residues(x, a, b, N)  # no row is read
+    with pytest.raises(ValueError, match=msg):
+        orbit_fracs(x, a, b, N)
+
+
 def count_uncertified(monkeypatch):
     """Wrap the window certifier; the returned list collects its uncertified cell counts."""
     seen = []

@@ -156,6 +156,13 @@ def test_realize_budget():
         realize_intervals(struct, 2)
 
 
+def test_realize_depth_limit():
+    struct = periodic([1], ["1/2"])
+    assert len(realize_intervals(struct, 10**4)) == 1
+    with pytest.raises(ValueError, match="depth 10001 exceeds the limit 10000"):
+        realize_intervals(struct, 10**4 + 1)
+
+
 def test_box_counting_full_circle():
     struct = periodic([3], ["1/3"])
     intervals = realize_intervals(struct, 6)

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import (
+    apply_times,
     block_entropy_estimate,
     count_R,
+    cylinder_of,
     dist,
     entropy,
     growth_profile,
@@ -193,6 +195,27 @@ def test_itinerary_decimation_identity():
     assert tuple(v / weight for v in total) == rec.q
     # concavity consequence: some decimated subword has entropy <= H(q)
     assert min(entropy(s) for s in rec.decimated) <= entropy(rec.q) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6), st.sampled_from([1, 7, 96, 2**31 - 1, 6**30 + 1]), st.integers(2, 12),
+    st.integers(1, 5), st.integers(1, 3), st.integers(0, 30),
+)
+def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
+    """Cells read off the residues a^n num mod den equal those of the exact T_a chain."""
+    x, N = make_point(num, den), M + extra  # N >= M, so no decimated subword is empty
+    pts = [x]
+    for _ in range(N + M - 2):
+        pts.append(apply_times(pts[-1], a))
+    cyl = [cylinder_of(p, d) for p in pts]
+    want = [1 + sum(cyl[n + i] * d ** (M - 1 - i) for i in range(M)) for n in range(N)]
+    assert list(itinerary_choices(x, a, d, M, N).indices) == want
+
+
+def test_itinerary_rejects_multiplier_below_two():
+    with pytest.raises(ValueError, match="a must be >= 2"):
+        itinerary_choices(make_point(1, 5), 1, 2, 2, 4)
 
 
 def test_block_entropy_fixed_point():
