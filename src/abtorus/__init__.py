@@ -16,7 +16,6 @@ from .torus import (
 from .measures import (
     EmpiricalMeasure,
     SemiEquidistReport,
-    TestFunctionTarget,
     convergence_diagnostic,
     empirical_measure,
     fourier_average,

@@ -82,9 +82,8 @@ def run(argv: list[str]) -> int:
 def _orbit(args):
     _warn_dependent(args.a, args.b)
     x = torus.TorusPoint.parse(args.x)
-    grid = torus.orbit_grid(x, args.a, args.b, args.N)
-    rows = [",".join(str(p) for p in row) for row in grid]
-    _emit(args, {"orbit": [[str(p) for p in row] for row in grid]}, rows)
+    cells = [[str(p) for p in row] for row in torus.orbit_grid(x, args.a, args.b, args.N)]
+    _emit(args, {"orbit": cells}, [",".join(row) for row in cells])
 
 
 def _empirical(args):

@@ -10,11 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import tau
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, orbit_fracs, orbit_residues
+from .torus import MAX_SIDE, TorusPoint, orbit_fracs, orbit_residues
+
+# Slack of the semiequidistribution verdict below t_claim * m(target).
+TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,6 @@ class EmpiricalMeasure:
                 raise ValueError(f"|fourier[{k}]| > 1")
 
 
-@dataclass(frozen=True)
-class TestFunctionTarget:
-    """A nonnegative test function with a known Lebesgue integral."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    integral: float
-
-
 @dataclass
 class SemiEquidistReport:
     """A semiequidistribution verdict at finite horizons."""
@@ -62,18 +57,17 @@ class SemiEquidistReport:
 
 
 def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
-    """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin j iff r >= ceil(j*den/d)."""
-    cuts = np.array([-(-j * x.den // d) for j in range(d + 1)])
-    ends = sum(np.searchsorted(np.sort(row), cuts) for row in orbit_residues(x, a, b, N))
-    return np.diff(ends)
+    """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin floor(r*d/den)."""
+    rows = orbit_residues(x, a, b, N)
+    return sum(np.bincount((row * d // x.den).astype(np.intp), minlength=d) for row in rows)
 
 
 def empirical_measure(
     x: TorusPoint, a: int, b: int, N: int, d: int, K: int
 ) -> EmpiricalMeasure:
     """The N-empirical measure of x on the depth-d partition, with |k| <= K Fourier data."""
-    if N < 1 or d < 1 or K < 0:
-        raise ValueError("need N >= 1, d >= 1, K >= 0")
+    if N < 1 or not 1 <= d <= MAX_SIDE**2 or K < 0:  # keeps r * d < 2^57 on int64 rows
+        raise ValueError(f"need N >= 1, 1 <= d <= {MAX_SIDE**2}, K >= 0")
     counts = _bin_counts(x, a, b, N, d)
     weights = tuple(int(c) / N**2 for c in counts)
     fourier: dict[int, complex] = {0: 1}
@@ -134,20 +128,18 @@ def invariance_defect(
 ) -> float:
     """|avg e_k over the once-shifted grid minus the plain grid average|.
 
-    Telescoping gives the bound 2/N for every input.
+    Shifting by T_c, (c, o) = (a, b) or (b, a), swaps the points o^n x (n < N)
+    for c^N o^n x, so the sums telescope to two rows: the bound is 2/N.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if k == 0:
         raise ValueError("k must be nonzero")
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
-    vals = _character(x, a, b, N + 1, k)
-    if map_choice == "a":
-        shifted = vals[1 : N + 1, :N]
-    else:
-        shifted = vals[:N, 1 : N + 1]
-    return abs(shifted.sum() - vals[:N, :N].sum()) / N**2
+    c, o = (a, b) if map_choice == "a" else (b, a)
+    first = next(orbit_residues(x, c, o, N))
+    rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
+    last, plain = np.exp(1j * k * (tau * rows.astype(float))).sum(axis=1)
+    return abs(last - plain) / N**2
 
 
 def _interval_membership(
@@ -159,13 +151,13 @@ def _interval_membership(
     the interval iff floor(lo' den) < r < ceil(hi' den) or, wrapping past 1,
     r < ceil(hi' den) - den.
     """
+    rows = orbit_residues(x, a, b, N)  # checks N before any grid is allocated
     if hi - lo >= 1:
         return np.ones((N, N), dtype=bool)
     lo_mod = lo % 1
     hi_mod = lo_mod + (hi - lo)
     lo_end = lo_mod.numerator * x.den // lo_mod.denominator
     hi_end = -(-hi_mod.numerator * x.den // hi_mod.denominator)
-    rows = orbit_residues(x, a, b, N)
     return np.array([(r > lo_end) & (r < hi_end) | (r < hi_end - x.den) for r in rows], dtype=bool)
 
 
@@ -178,6 +170,21 @@ def _horizon_list(horizons: Sequence[int]) -> list[int]:
     return horizons
 
 
+def _corner_sums(grid: np.ndarray, horizons: list[int]) -> list:
+    """The N x N corner total of `grid` for each N in `horizons`, each read once.
+
+    Rows go one by one into column sums (bool rows as ints), so a corner's
+    total depends on that corner alone, whatever the other horizons.
+    """
+    columns, read, corner = np.zeros(len(grid), dtype=np.result_type(grid, 0)), 0, {}
+    for N in sorted(set(horizons)):
+        for row in grid[read:N]:
+            columns += row
+        read = N
+        corner[N] = columns[:N].sum()
+    return [corner[N] for N in horizons]
+
+
 def semiequidist_profile(
     x: TorusPoint,
     a: int,
@@ -185,42 +192,34 @@ def semiequidist_profile(
     target,
     horizons: Sequence[int],
     t_claim: float,
-    tolerance: float = 0.05,
 ) -> SemiEquidistReport:
     """Finite-horizon surrogate for the t-semiequidistribution lower bounds.
 
-    `target` is either a pair (lo, hi) of rationals realizing an open
-    interval mod Z, or a TestFunctionTarget.  The verdict passes iff the
-    minimum over the last quartile of horizons is at least
-    t_claim * m(target) - tolerance.
+    `target` is a pair (lo, hi) of rationals realizing an open interval
+    mod Z.  The verdict passes iff the minimum over the last quartile of
+    horizons is at least t_claim * m(target) - TOLERANCE.
     """
     horizons = _horizon_list(horizons)
     if sorted(horizons) != horizons:
         raise ValueError("horizons must be ascending")
     if not 0 < t_claim <= 1:
         raise ValueError("t_claim must be in (0, 1]")
-    Nmax = horizons[-1]
-    if isinstance(target, TestFunctionTarget):
-        grid = target.func(orbit_fracs(x, a, b, Nmax))
-        measure = target.integral
-    else:
-        lo, hi = Fraction(target[0]), Fraction(target[1])
-        if hi <= lo:
-            raise ValueError("empty interval")
-        grid = _interval_membership(x, a, b, Nmax, lo, hi)
-        measure = float(min(hi - lo, Fraction(1)))
-    prefix = grid.cumsum(axis=0).cumsum(axis=1)
-    ratios = [float(prefix[N - 1, N - 1]) / N**2 for N in horizons]
+    lo, hi = Fraction(target[0]), Fraction(target[1])
+    if hi <= lo:
+        raise ValueError("empty interval")
+    grid = _interval_membership(x, a, b, horizons[-1], lo, hi)
+    measure = float(min(hi - lo, Fraction(1)))
+    ratios = [int(s) / N**2 for N, s in zip(horizons, _corner_sums(grid, horizons))]
     tail = ratios[-max(1, len(ratios) // 4) :]
     liminf = min(tail)
-    verdict = liminf >= t_claim * measure - tolerance
+    verdict = liminf >= t_claim * measure - TOLERANCE
     return SemiEquidistReport(
         t_claim=t_claim,
         target_measure=measure,
         horizons=horizons,
         ratios=ratios,
         liminf_estimate=liminf,
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
         verdict=verdict,
         meta={"x": str(x), "a": a, "b": b},
     )
@@ -231,18 +230,8 @@ def convergence_diagnostic(
 ) -> list[float]:
     """Weak* distance to Lebesgue per horizon (no monotonicity is asserted)."""
     horizons = _horizon_list(horizons)
-    Nmax = max(horizons)
     out = [0.0] * len(horizons)
-    for k, z in enumerate(_characters(x, a, b, Nmax, K), start=1):
-        # column sums of the rows read so far, added row by row, so the N x N
-        # corner total depends on that corner alone, whatever the other horizons
-        columns, read, corner = np.zeros(Nmax, dtype=complex), 0, {}
-        for N in sorted(set(horizons)):
-            for row in z[read:N]:
-                columns += row
-            read = N
-            corner[N] = columns[:N].sum()
-        for i, N in enumerate(horizons):
-            # +k and -k contribute equally
-            out[i] += 2.0 ** (1 - k) * abs(corner[N]) / N**2
+    for k, z in enumerate(_characters(x, a, b, max(horizons), K), start=1):
+        for i, (N, total) in enumerate(zip(horizons, _corner_sums(z, horizons))):
+            out[i] += 2.0 ** (1 - k) * abs(total) / N**2  # +k and -k contribute equally
     return out

@@ -12,6 +12,9 @@ from typing import Iterator
 
 import numpy as np
 
+# Longest side of an orbit grid: 2^26 cells, a 512 MiB float grid.
+MAX_SIDE = 1 << 13
+
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -101,13 +104,15 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
     Python ints, so memory stays O(N) per row.  The float grid
     `orbit_fracs` reads r / den (correctly rounded) off these rows, except
     when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its digit
-    automaton gives the same doubles without residues.  a, b < 2 and N < 1
-    are rejected at the call, before any row is built.
+    automaton gives the same doubles without residues.  a, b < 2 and N
+    outside 1..MAX_SIDE are rejected at the call, before any row is built.
     """
     if min(a, b) < 2:
         raise ValueError("a, b must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > MAX_SIDE:
+        raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
     den = x.den
     if den < 2**31:
         bcol = np.array(_running_products(x.num, b, den, N), dtype=np.int64)
@@ -142,10 +147,10 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
 
     Each cell is the double nearest the exact point, so the paths agree.
     """
-    K = _digit_length(x, a, b)  # 0 unless a, b >= 2
-    if K and N >= 1:  # a bad N falls through to the kernel's check
+    rows = orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
+    K = _digit_length(x, a, b)
+    if K:
         return _digit_fracs(x, a, b, N, K)
-    rows = orbit_residues(x, a, b, N)  # checks a, b and N before the grid is allocated
     out = np.empty((N, N))
     for m, row in enumerate(rows):
         out[m] = row / x.den

@@ -101,8 +101,8 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
     base-d integer; q is the symbol distribution of the itinerary and
     the decimated subword distributions are returned alongside.
     """
-    if d < 1 or M < 1 or N < 1:
-        raise ValueError("need d >= 1, M >= 1, N >= 1")
+    if d < 1 or M < 1 or N < M:
+        raise ValueError("need d >= 1, M >= 1, N >= M")
     if a < 2:
         raise ValueError("a must be >= 2")
     cyl = [r * d // x.den for r in _running_products(x.num, a, x.den, N + M - 1)]  # floor(d a^n x)

@@ -275,6 +275,14 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         (["itinerary", "-a", "0", "-x", "1/5", "-d", "2", "-M", "2", "-N", "4"], "a must be >= 2"),
         (["box-dim", "--struct", "n=1;c=1/2 periodic", "--depth", "10001", "--scales", "1/3,1/9,1/27"],
          "depth 10001 exceeds the limit 10000"),
+        (["fourier", "-a", "2", "-b", "3", "-x", "1/5", "-N", "8193", "-K", "1"],
+         "N = 8193 exceeds the grid side limit 8192"),
+        (["fourier", "-a", "2", "-b", "3", "-x", f"1/{6**13}", "-N", "100000", "-K", "1"],
+         "N = 100000 exceeds the grid side limit 8192"),  # den >= 2^31 takes the digit path
+        (["empirical", "-a", "2", "-b", "3", "-x", "1/5", "-N", "3", "-d", "1000000000", "-K", "1"],
+         "need N >= 1, 1 <= d <= 67108864, K >= 0"),
+        (["itinerary", "-a", "2", "-x", "1/3", "-d", "2", "-M", "3", "-N", "2"],
+         "need d >= 1, M >= 1, N >= M"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):

@@ -161,10 +161,12 @@ def test_digit_length_rule():
 
 
 @pytest.mark.parametrize("x", [TorusPoint(1, 5), TorusPoint(1, 6**40), TorusPoint(1, 6**40 * 5)])
-@pytest.mark.parametrize("a, b, N", [(1, 3, 3), (2, 1, 3), (0, 0, 3), (2, 3, 0), (2, 3, -1)])
+@pytest.mark.parametrize(
+    "a, b, N", [(1, 3, 3), (2, 1, 3), (0, 0, 3), (2, 3, 0), (2, 3, -1), (2, 3, torus.MAX_SIDE + 1)]
+)
 def test_kernel_rejects_bad_multipliers_and_sides(x, a, b, N):
-    """Each path rejects a, b < 2 and N < 1 at the call, the digit path included."""
-    msg = "a, b must be >= 2" if min(a, b) < 2 else "N must be >= 1"
+    """Each path rejects a, b < 2 and N outside 1..MAX_SIDE at the call, the digit path included."""
+    msg = "a, b must be >= 2" if min(a, b) < 2 else "N must be >= 1" if N < 1 else "exceeds the grid"
     with pytest.raises(ValueError, match=msg):
         orbit_residues(x, a, b, N)  # no row is read
     with pytest.raises(ValueError, match=msg):

@@ -17,7 +17,6 @@ from abtorus import (
     semiequidist_profile,
     weak_star_distance,
 )
-from abtorus import measures
 from words import random_word
 
 
@@ -98,6 +97,25 @@ def test_invariance_defect_boundary_identity():
     vals = np.exp(2j * np.pi * k * fracs)
     direct = abs((vals[N, :N] - vals[0, :N]).sum()) / N**2
     assert invariance_defect(x, 2, 3, N, k, "a") == pytest.approx(direct, abs=1e-14)
+
+
+def reference_invariance_defect(x, a, b, N, k, map_choice):
+    """The defect summed over the whole (N+1) x (N+1) character grid."""
+    vals = np.exp(1j * k * (2 * np.pi * orbit_fracs(x, a, b, N + 1)))
+    shifted = vals[1:, :N] if map_choice == "a" else vals[:N, 1:]
+    return abs(shifted.sum() - vals[:N, :N].sum()) / N**2
+
+
+@pytest.mark.parametrize(
+    "x",
+    [make_point(3, 1000003), point_of_word(random_word(6, 300, seed=7)), make_point(5, 7**20)],
+)
+@pytest.mark.parametrize("map_choice", ["a", "b"])
+@pytest.mark.parametrize("N, k", [(1, 1), (1, -3), (17, 2), (40, -5), (64, 1)])
+def test_invariance_defect_matches_full_grid(x, map_choice, N, k):
+    # int64, digit-automaton and big-integer points; the two rows against the whole grid
+    got = invariance_defect(x, 2, 3, N, k, map_choice)
+    assert abs(got - reference_invariance_defect(x, 2, 3, N, k, map_choice)) < 1e-12
 
 
 def test_semiequidist_stuck_orbit():
@@ -190,19 +208,3 @@ def test_shared_character_sums_match_per_k_exp(x):
         for i, N in enumerate(horizons):
             ref[i] += 2.0 ** (1 - k) * abs(prefix[N - 1, N - 1]) / N**2
     assert max(abs(d - r) for d, r in zip(dists, ref)) < 1e-12
-
-
-def test_semiequidist_constant_test_function():
-    target = measures.TestFunctionTarget(func=np.ones_like, integral=1.0)
-    rep = semiequidist_profile(make_point(3, 17), 2, 3, target, [1, 4, 9], 0.9)
-    assert rep.ratios == [1.0, 1.0, 1.0]
-    assert rep.target_measure == 1.0 and rep.verdict
-
-
-def test_semiequidist_identity_test_function():
-    # the orbit of 1/5 under 2, 3 at horizon 2 is 1/5, 3/5, 2/5, 6/5 = 1/5 (mod 1)
-    target = measures.TestFunctionTarget(func=lambda v: v, integral=0.5)
-    rep = semiequidist_profile(make_point(1, 5), 2, 3, target, [1, 2], 1.0)
-    assert rep.ratios == pytest.approx([1 / 5, (1 + 3 + 2 + 1) / 5 / 4], abs=1e-15)
-    assert rep.target_measure == 0.5
-    assert rep.liminf_estimate == rep.ratios[-1] and not rep.verdict
