@@ -6,7 +6,6 @@ from .torus import (
     apply_times,
     cylinder_of,
     digits_of,
-    make_point,
     mult_indep_check,
     orbit_fracs,
     orbit_grid,

@@ -182,6 +182,8 @@ def _q_bound(args):
 def _equidist(args):
     _warn_dependent(args.a, args.b)
     x = torus.TorusPoint.parse(args.x)
+    if args.U.count(",") != 1:
+        raise ValueError(f"-U takes two values lo,hi, not {args.U!r}")
     lo, hi = (Fraction(v) for v in args.U.split(","))
     report = measures.semiequidist_profile(
         x, args.a, args.b, (lo, hi), _horizons(args.horizons), args.t

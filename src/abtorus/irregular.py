@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,7 @@ from .torus import DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
 # the vectorized int64 orbit path.
 SAMPLE_DEN = 2_147_483_647
 _MAX_TRIES = 2000  # donor draws per level before synthesize_point gives up
+_SAMPLES, _GROWTH, _MAX_EXPANSIONS = 150, 1.3, 12  # schedule: samples per try, N growth, tries per level
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,8 @@ class Schedule:
 class IrregularRecipe:
     schedule: Schedule
     seed: int
-    donors: list[str] = field(default_factory=list)  # one sampled point per level
-    donor_tries: list[int] = field(default_factory=list)
+    donors: list[str]  # one sampled point per level
+    donor_tries: list[int]
 
 
 class ScheduleError(RuntimeError):
@@ -222,10 +223,7 @@ def choose_schedule(
     r: Fraction,
     depth: int,
     family: tuple[TrigTestFunction, ...],
-    samples: int = 150,
     seed: int = 0,
-    growth: float = 1.3,
-    max_expansions: int = 12,
 ) -> Schedule:
     """Pick minimal-ish horizons satisfying the construction's inequalities.
 
@@ -259,13 +257,13 @@ def choose_schedule(
             N += 1
         best: MeasureEstimate | None = None
         best_N = N
-        for attempt in range(max_expansions):
-            est = estimate_X_measure(k, N, family, a, b, samples, seed + 7919 * k + attempt)
+        for attempt in range(_MAX_EXPANSIONS):
+            est = estimate_X_measure(k, N, family, a, b, _SAMPLES, seed + 7919 * k + attempt)
             if best is None or est.value > best.value:
                 best, best_N = est, N
             if est.value - est.half_width > r:
                 break
-            N = int(math.ceil(N * growth))
+            N = int(math.ceil(N * _GROWTH))
         else:
             raise ScheduleError(
                 f"good-set measure condition not met at level {k}", best_N, best

@@ -34,12 +34,6 @@ class TorusPoint:
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
@@ -70,11 +64,6 @@ class DigitWord:
     def __str__(self) -> str:
         sep = "" if self.base <= 10 else "."
         return f"b{self.base}:" + sep.join(str(d) for d in self.digits)
-
-
-def make_point(p: int, q: int) -> TorusPoint:
-    """Normalized point (p mod q)/q; q = 0 is rejected."""
-    return TorusPoint(p, q)
 
 
 def mult_indep_check(a: int, b: int) -> bool:
@@ -158,9 +147,9 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
 
 
 def _digit_length(x: TorusPoint, a: int, b: int) -> int:
-    """Least K with den | (ab)^K when x, a, b take the digit path; 0 otherwise."""
+    """Least K with den | (ab)^K when x, a, b (already checked >= 2) take the digit path; 0 otherwise."""
     rest, ab = x.den, a * b
-    if rest < 2**31 or min(a, b) < 2 or ab * ab > 2**53:
+    if rest < 2**31 or ab * ab > 2**53:
         return 0
     K = 0
     while rest > 1:  # step K removes gcd(rest, ab): one more factor ab of den

@@ -14,6 +14,7 @@ from typing import Sequence
 from .torus import TorusPoint, _running_products
 
 ENTROPY_TOL = 1e-12  # documented tie tolerance for threshold comparisons
+MAX_PARTS = 500  # cap on min(k, N): count_R's walk recurses once per part; Python allows 1000 frames
 
 
 def entropy(p) -> float:
@@ -46,6 +47,8 @@ def count_R(k: int, N: int, t: float) -> int:
     """
     if k < 1 or N < 1 or not t >= 0:
         raise ValueError("need k >= 1, N >= 1, t >= 0")
+    if min(k, N) > MAX_PARTS:
+        raise ValueError(f"min(k, N) = {min(k, N)} exceeds the part limit {MAX_PARTS}")
     clogc = [0.0] + [c * math.log(c) for c in range(1, N + 1)]
     log_N = math.log(N)
     bound = t + ENTROPY_TOL
@@ -83,11 +86,6 @@ def growth_profile(k: int, t: float, N_list: Sequence[int]) -> list[tuple[int, f
 class ChoiceRecord:
     """Itinerary of the a-orbit through the M-fold refined uniform partition."""
 
-    x: TorusPoint
-    a: int
-    d: int
-    M: int
-    N: int
     indices: tuple[int, ...]  # 1-based refined-cell labels, one per orbit point
     q: tuple[Fraction, ...]  # symbol distribution of the itinerary
     decimated: tuple[tuple[Fraction, ...], ...]  # q_{M,l} for 0 <= l < M
@@ -115,9 +113,7 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
         indices.append(cell + 1)
     q = dist(indices, k_M)
     decimated = tuple(dist(indices[l::M], k_M) for l in range(M))
-    return ChoiceRecord(
-        x=x, a=a, d=d, M=M, N=N, indices=tuple(indices), q=q, decimated=decimated
-    )
+    return ChoiceRecord(indices=tuple(indices), q=q, decimated=decimated)
 
 
 def block_entropy_estimate(x: TorusPoint, a: int, d: int, M: int, N: int) -> float:

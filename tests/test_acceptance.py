@@ -14,6 +14,7 @@ import pytest
 
 from abtorus import (
     MoranStructure,
+    TorusPoint,
     apply_times,
     block_entropy_estimate,
     box_counting_estimate,
@@ -22,7 +23,6 @@ from abtorus import (
     entropy,
     invariance_defect,
     kt_bound,
-    make_point,
     moran_dims,
     orbit_grid,
     q_bound,
@@ -42,7 +42,7 @@ def test_criterion_1_exact_orbit_oracle():
     rng = random.Random(101)
     ok = True
     for _ in range(100):
-        x = make_point(rng.randrange(10**6), rng.randrange(1, 10**6))
+        x = TorusPoint(rng.randrange(10**6), rng.randrange(1, 10**6))
         a = rng.choice([2, 3, 5, 6])
         b = rng.choice([2, 3, 5, 6])
         grid = orbit_grid(x, a, b, 50)
@@ -70,7 +70,7 @@ def test_criterion_2_invariance_defect_bound():
     worst = 0.0
     ok = True
     for _ in range(50):
-        x = make_point(rng.randrange(10**6), rng.randrange(1, 10**6))
+        x = TorusPoint(rng.randrange(10**6), rng.randrange(1, 10**6))
         k = rng.randrange(1, 6)
         for N in (10, 50, 200):
             for which in ("a", "b"):
@@ -206,14 +206,14 @@ def test_criterion_7_semiequidistribution():
     start = time.monotonic()
     rng = random.Random(707)
     q = _next_prime(10**5 + rng.randrange(1000))
-    x = make_point(rng.randrange(1, q), q)
+    x = TorusPoint(rng.randrange(1, q), q)
     U = (Fraction(0), Fraction(1, 2))
     rep = semiequidist_profile(x, 2, 3, U, [75, 150, 225, 300], 0.9)
     ratio = rep.ratios[-1]
     ok = abs(ratio - 0.5) < 0.05 and rep.verdict
 
     stuck = semiequidist_profile(
-        make_point(0, 1), 2, 3, (Fraction(1, 4), Fraction(3, 4)), [75, 150, 300], 0.9
+        TorusPoint(0, 1), 2, 3, (Fraction(1, 4), Fraction(3, 4)), [75, 150, 300], 0.9
     )
     ok = ok and stuck.ratios == [0.0, 0.0, 0.0] and not stuck.verdict
     elapsed = time.monotonic() - start
@@ -248,7 +248,7 @@ def test_criterion_8_entropy_toolkit():
         if dist(c1 + c2, k) != expect:
             ok = False
     for M in range(1, 9):
-        if block_entropy_estimate(make_point(0, 1), 2, 2, M, 30) != 0.0:
+        if block_entropy_estimate(TorusPoint(0, 1), 2, 2, M, 30) != 0.0:
             ok = False
     elapsed = time.monotonic() - start
     _report(

@@ -17,7 +17,6 @@ from abtorus import (
     estimate_X_measure,
     induced_moran_structure,
     irregular,
-    make_point,
     membership_X,
     modulus_l,
     moran_dims,
@@ -55,12 +54,12 @@ def test_family_bounds():
 
 def test_membership_fixed_point_fails():
     fam = build_test_family(1)
-    assert not membership_X(make_point(0, 1), 1, 30, fam, 2, 3)
+    assert not membership_X(TorusPoint(0, 1), 1, 30, fam, 2, 3)
 
 
 def test_membership_generic_point_passes():
     fam = build_test_family(1)
-    x = make_point(123456789, 1000000007)
+    x = TorusPoint(123456789, 1000000007)
     assert membership_X(x, 1, 60, fam, 2, 3)
 
 
@@ -123,8 +122,8 @@ def test_membership_falls_back_near_the_threshold(fallbacks, eta, num, expected)
 
 def test_membership_decided_from_histogram_away_from_threshold(fallbacks):
     fam = build_test_family(2)
-    assert membership_X(make_point(123456789, 1000000007), 2, 60, fam, 2, 3)
-    assert not membership_X(make_point(0, 1), 2, 30, fam, 2, 3)
+    assert membership_X(TorusPoint(123456789, 1000000007), 2, 60, fam, 2, 3)
+    assert not membership_X(TorusPoint(0, 1), 2, 30, fam, 2, 3)
     assert fallbacks == []
 
 
@@ -149,7 +148,7 @@ def test_bin_weights_count_each_cell_once():
 def test_membership_rejects_bad_horizon():
     fam = build_test_family(1)
     with pytest.raises(ValueError):
-        membership_X(make_point(1, 3), 1, 0, fam, 2, 3)
+        membership_X(TorusPoint(1, 3), 1, 0, fam, 2, 3)
 
 
 def test_estimate_X_measure():
@@ -201,23 +200,25 @@ def test_schedule_depth_two_inequalities(schedule_d2):
         L_prev = L_k
 
 
-def test_schedule_unreachable_measure_reports_best():
+def test_schedule_unreachable_measure_reports_best(monkeypatch):
     fam = build_test_family(1)
+    monkeypatch.setattr(irregular, "_SAMPLES", 100)
+    monkeypatch.setattr(irregular, "_GROWTH", 1.01)
+    monkeypatch.setattr(irregular, "_MAX_EXPANSIONS", 2)
     with pytest.raises(ScheduleError) as exc:
-        choose_schedule(
-            2, 3, Fraction(99, 100), 1, fam, samples=100, seed=0, growth=1.01, max_expansions=2
-        )
+        choose_schedule(2, 3, Fraction(99, 100), 1, fam, seed=0)
     assert exc.value.best_N > 0
 
 
-def test_schedule_error_best_N_is_where_the_best_estimate_was_taken():
+def test_schedule_error_best_N_is_where_the_best_estimate_was_taken(monkeypatch):
     fam = build_test_family(1)
     reported = []
+    monkeypatch.setattr(irregular, "_SAMPLES", 100)
+    monkeypatch.setattr(irregular, "_MAX_EXPANSIONS", 1)
     for growth in (1.5, 3.0):  # one attempt: no expansion, so growth cannot matter
+        monkeypatch.setattr(irregular, "_GROWTH", growth)
         with pytest.raises(ScheduleError) as exc:
-            choose_schedule(
-                2, 3, Fraction(99, 100), 1, fam, samples=100, seed=0, growth=growth, max_expansions=1
-            )
+            choose_schedule(2, 3, Fraction(99, 100), 1, fam, seed=0)
         reported.append((exc.value.best_N, exc.value.estimate))
     assert reported[0] == reported[1]
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from abtorus import (
+    TorusPoint,
     convergence_diagnostic,
     empirical_measure,
     fourier_average,
     invariance_defect,
     lebesgue_reference,
-    make_point,
     orbit_fracs,
     point_of_word,
     semiequidist_profile,
@@ -21,38 +21,38 @@ from words import random_word
 
 
 def test_point_mass_measure():
-    mu = empirical_measure(make_point(0, 1), 2, 3, 4, 5, 3)
+    mu = empirical_measure(TorusPoint(0, 1), 2, 3, 4, 5, 3)
     assert mu.weights == (1.0, 0.0, 0.0, 0.0, 0.0)
     for k in range(-3, 4):
         assert mu.fourier[k] == 1
 
 
 def test_weights_example():
-    mu = empirical_measure(make_point(1, 5), 2, 3, 2, 5, 0)
+    mu = empirical_measure(TorusPoint(1, 5), 2, 3, 2, 5, 0)
     assert mu.weights == (0.0, 0.5, 0.25, 0.25, 0.0)
 
 
 def test_half_point_fourier_vanishes():
     # orbit of 1/2 under (2,3) at N=2 is 1/2, 0, 1/2, 0
-    assert abs(fourier_average(make_point(1, 2), 2, 3, 2, 1)) < 1e-15
-    assert abs(empirical_measure(make_point(1, 2), 2, 3, 2, 2, 1).fourier[1]) < 1e-15
+    assert abs(fourier_average(TorusPoint(1, 2), 2, 3, 2, 1)) < 1e-15
+    assert abs(empirical_measure(TorusPoint(1, 2), 2, 3, 2, 2, 1).fourier[1]) < 1e-15
 
 
 def test_fourier_trivial_cases():
-    assert fourier_average(make_point(0, 1), 2, 3, 7, 5) == pytest.approx(1.0, abs=1e-12)
-    assert fourier_average(make_point(3, 7), 2, 3, 4, 0) == pytest.approx(1.0, abs=1e-12)
+    assert fourier_average(TorusPoint(0, 1), 2, 3, 7, 5) == pytest.approx(1.0, abs=1e-12)
+    assert fourier_average(TorusPoint(3, 7), 2, 3, 4, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_count_consistency():
-    mu = empirical_measure(make_point(3, 11), 2, 3, 6, 7, 0)
+    mu = empirical_measure(TorusPoint(3, 11), 2, 3, 6, 7, 0)
     for w in mu.weights:
         assert (w * 36) == int(round(w * 36))
 
 
 def test_weak_star_identity_and_example():
-    mu = empirical_measure(make_point(1, 7), 2, 3, 5, 4, 2)
+    mu = empirical_measure(TorusPoint(1, 7), 2, 3, 5, 4, 2)
     assert weak_star_distance(mu, mu) == 0.0
-    delta0 = empirical_measure(make_point(0, 1), 2, 3, 5, 4, 2)
+    delta0 = empirical_measure(TorusPoint(0, 1), 2, 3, 5, 4, 2)
     leb = lebesgue_reference(4, 2)
     assert weak_star_distance(delta0, leb) == pytest.approx(1.5)
     assert weak_star_distance(leb, delta0) == weak_star_distance(delta0, leb)
@@ -61,7 +61,7 @@ def test_weak_star_identity_and_example():
 def test_weak_star_triangle_inequality():
     rng = random.Random(3)
     mus = [
-        empirical_measure(make_point(rng.randrange(1, 997), 997), 2, 3, 6, 4, 5)
+        empirical_measure(TorusPoint(rng.randrange(1, 997), 997), 2, 3, 6, 4, 5)
         for _ in range(9)
     ]
     for mu, nu, rho in zip(mus[0::3], mus[1::3], mus[2::3]):
@@ -70,20 +70,20 @@ def test_weak_star_triangle_inequality():
 
 
 def test_weak_star_mismatched_truncation():
-    mu = empirical_measure(make_point(1, 7), 2, 3, 5, 4, 2)
-    nu = empirical_measure(make_point(1, 7), 2, 3, 5, 4, 3)
+    mu = empirical_measure(TorusPoint(1, 7), 2, 3, 5, 4, 2)
+    nu = empirical_measure(TorusPoint(1, 7), 2, 3, 5, 4, 3)
     with pytest.raises(ValueError):
         weak_star_distance(mu, nu)
 
 
 def test_invariance_defect_fixed_point():
-    assert invariance_defect(make_point(0, 1), 2, 3, 50, 1, "a") == 0.0
+    assert invariance_defect(TorusPoint(0, 1), 2, 3, 50, 1, "a") == 0.0
 
 
 def test_invariance_defect_telescoping_bound():
     rng = random.Random(11)
     for _ in range(10):
-        x = make_point(rng.randrange(1, 10**6), rng.randrange(2, 10**6))
+        x = TorusPoint(rng.randrange(1, 10**6), rng.randrange(2, 10**6))
         k = rng.choice([1, 2, 5])
         for N in (10, 100):
             for which in ("a", "b"):
@@ -92,7 +92,7 @@ def test_invariance_defect_telescoping_bound():
 
 def test_invariance_defect_boundary_identity():
     # the a-defect telescopes to the m = N vs m = 0 rows
-    x, N, k = make_point(5, 97), 40, 2
+    x, N, k = TorusPoint(5, 97), 40, 2
     fracs = orbit_fracs(x, 2, 3, N + 1)
     vals = np.exp(2j * np.pi * k * fracs)
     direct = abs((vals[N, :N] - vals[0, :N]).sum()) / N**2
@@ -108,7 +108,7 @@ def reference_invariance_defect(x, a, b, N, k, map_choice):
 
 @pytest.mark.parametrize(
     "x",
-    [make_point(3, 1000003), point_of_word(random_word(6, 300, seed=7)), make_point(5, 7**20)],
+    [TorusPoint(3, 1000003), point_of_word(random_word(6, 300, seed=7)), TorusPoint(5, 7**20)],
 )
 @pytest.mark.parametrize("map_choice", ["a", "b"])
 @pytest.mark.parametrize("N, k", [(1, 1), (1, -3), (17, 2), (40, -5), (64, 1)])
@@ -120,7 +120,7 @@ def test_invariance_defect_matches_full_grid(x, map_choice, N, k):
 
 def test_semiequidist_stuck_orbit():
     rep = semiequidist_profile(
-        make_point(0, 1), 2, 3, (Fraction(2, 5), Fraction(3, 5)), [10, 20, 40], 0.5
+        TorusPoint(0, 1), 2, 3, (Fraction(2, 5), Fraction(3, 5)), [10, 20, 40], 0.5
     )
     assert rep.ratios == [0.0, 0.0, 0.0]
     assert not rep.verdict
@@ -128,7 +128,7 @@ def test_semiequidist_stuck_orbit():
 
 def test_semiequidist_interval_containing_fixed_point():
     rep = semiequidist_profile(
-        make_point(0, 1), 2, 3, (Fraction(-1, 10), Fraction(1, 10)), [10, 20], 1.0
+        TorusPoint(0, 1), 2, 3, (Fraction(-1, 10), Fraction(1, 10)), [10, 20], 1.0
     )
     assert rep.ratios == [1.0, 1.0]
     assert rep.verdict
@@ -136,21 +136,21 @@ def test_semiequidist_interval_containing_fixed_point():
 
 def test_semiequidist_full_circle_ratio_one():
     rep = semiequidist_profile(
-        make_point(3, 17), 2, 3, (Fraction(0), Fraction(1)), [5, 10], 0.5
+        TorusPoint(3, 17), 2, 3, (Fraction(0), Fraction(1)), [5, 10], 0.5
     )
     assert rep.ratios == [1.0, 1.0]
 
 
 def test_semiequidist_rejects_bad_input():
     with pytest.raises(ValueError):
-        semiequidist_profile(make_point(0, 1), 2, 3, (0, Fraction(1, 2)), [], 0.5)
+        semiequidist_profile(TorusPoint(0, 1), 2, 3, (0, Fraction(1, 2)), [], 0.5)
     with pytest.raises(ValueError):
-        semiequidist_profile(make_point(0, 1), 2, 3, (0, Fraction(1, 2)), [10], 1.5)
+        semiequidist_profile(TorusPoint(0, 1), 2, 3, (0, Fraction(1, 2)), [10], 1.5)
 
 
 @pytest.mark.parametrize("horizons", [[0, 5], [-3, 5], [0]])
 def test_nonpositive_horizons_rejected(horizons):
-    x = make_point(1, 7)
+    x = TorusPoint(1, 7)
     with pytest.raises(ValueError, match="horizons must be >= 1"):
         semiequidist_profile(x, 2, 3, (0, Fraction(1, 2)), horizons, 0.5)
     with pytest.raises(ValueError, match="horizons must be >= 1"):
@@ -158,16 +158,16 @@ def test_nonpositive_horizons_rejected(horizons):
 
 
 def test_convergence_diagnostic_fixed_point():
-    dists = convergence_diagnostic(make_point(0, 1), 2, 3, [5, 10, 20], 2)
+    dists = convergence_diagnostic(TorusPoint(0, 1), 2, 3, [5, 10, 20], 2)
     assert dists == pytest.approx([1.5, 1.5, 1.5])
 
 
 def test_convergence_diagnostic_no_coefficients():
-    assert convergence_diagnostic(make_point(1, 7), 2, 3, [5, 10], 0) == [0.0, 0.0]
+    assert convergence_diagnostic(TorusPoint(1, 7), 2, 3, [5, 10], 0) == [0.0, 0.0]
 
 
 def test_convergence_diagnostic_unsorted_horizons():
-    x = make_point(3, 1000003)
+    x = TorusPoint(3, 1000003)
     assert convergence_diagnostic(x, 2, 3, [40, 10, 25], 3) == [
         convergence_diagnostic(x, 2, 3, [N], 3)[0] for N in (40, 10, 25)
     ]
@@ -180,7 +180,7 @@ def test_convergence_diagnostic_random_digits():
 
 
 def test_matches_empirical_fourier():
-    x = make_point(4, 31)
+    x = TorusPoint(4, 31)
     mu = empirical_measure(x, 2, 3, 7, 5, 3)
     for k in (1, 2, 3):
         assert mu.fourier[k] == pytest.approx(fourier_average(x, 2, 3, 7, k), abs=1e-14)
@@ -193,7 +193,7 @@ def reference_fourier(x, a, b, N, k):
 
 @pytest.mark.parametrize(
     "x",
-    [make_point(3, 1000003), point_of_word(random_word(6, 300, seed=7)), make_point(5, 7**20)],
+    [TorusPoint(3, 1000003), point_of_word(random_word(6, 300, seed=7)), TorusPoint(5, 7**20)],
 )
 def test_shared_character_sums_match_per_k_exp(x):
     # int64, digit-automaton and big-integer orbit paths
@@ -208,3 +208,18 @@ def test_shared_character_sums_match_per_k_exp(x):
         for i, N in enumerate(horizons):
             ref[i] += 2.0 ** (1 - k) * abs(prefix[N - 1, N - 1]) / N**2
     assert max(abs(d - r) for d, r in zip(dists, ref)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "x",
+    [TorusPoint(3, 1000003), point_of_word(random_word(6, 300, seed=7)), TorusPoint(5, 7**20)],
+)
+@pytest.mark.parametrize("K", [1, 4])
+def test_convergence_diagnostic_is_weak_star_distance_of_empirical_measure(x, K):
+    # int64, digit-automaton and big-integer points: the corner sums of one grid
+    # against a separate empirical measure per horizon
+    horizons, d = [1, 7, 20, 33], 5
+    dists = convergence_diagnostic(x, 2, 3, horizons, K)
+    for N, got in zip(horizons, dists):
+        mu = empirical_measure(x, 2, 3, N, d, K)
+        assert abs(got - weak_star_distance(mu, lebesgue_reference(d, K))) < 1e-12

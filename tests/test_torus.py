@@ -11,55 +11,54 @@ from abtorus import (
     apply_times,
     cylinder_of,
     digits_of,
-    make_point,
     orbit_grid,
     point_of_word,
 )
 
 points = st.builds(
-    make_point,
+    TorusPoint,
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=1, max_value=10**6),
 )
 
 
-def test_make_point_normalizes():
-    assert make_point(1, 3) == TorusPoint(1, 3)
-    assert make_point(7, 3) == TorusPoint(1, 3)
-    assert make_point(0, 5) == TorusPoint(0, 1)
-    assert make_point(-1, 3) == TorusPoint(2, 3)
+def test_torus_point_normalizes():
+    assert TorusPoint(2, 6) == TorusPoint(1, 3)
+    assert TorusPoint(7, 3) == TorusPoint(1, 3)
+    assert TorusPoint(0, 5) == TorusPoint(0, 1)
+    assert TorusPoint(-1, 3) == TorusPoint(2, 3)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ValueError):
-        make_point(1, 0)
+        TorusPoint(1, 0)
 
 
 def test_apply_times_examples():
-    assert apply_times(make_point(1, 3), 2) == make_point(2, 3)
-    assert apply_times(make_point(2, 5), 3) == make_point(1, 5)
-    assert apply_times(make_point(1, 7), 6) == make_point(6, 7)
+    assert apply_times(TorusPoint(1, 3), 2) == TorusPoint(2, 3)
+    assert apply_times(TorusPoint(2, 5), 3) == TorusPoint(1, 5)
+    assert apply_times(TorusPoint(1, 7), 6) == TorusPoint(6, 7)
 
 
 def test_orbit_grid_examples():
-    grid = orbit_grid(make_point(1, 5), 2, 3, 2)
+    grid = orbit_grid(TorusPoint(1, 5), 2, 3, 2)
     assert grid == [
-        [make_point(1, 5), make_point(3, 5)],
-        [make_point(2, 5), make_point(1, 5)],
+        [TorusPoint(1, 5), TorusPoint(3, 5)],
+        [TorusPoint(2, 5), TorusPoint(1, 5)],
     ]
-    zero = orbit_grid(make_point(0, 1), 2, 3, 3)
-    assert all(p == make_point(0, 1) for row in zero for p in row)
-    grid = orbit_grid(make_point(1, 3), 2, 3, 2)
+    zero = orbit_grid(TorusPoint(0, 1), 2, 3, 3)
+    assert all(p == TorusPoint(0, 1) for row in zero for p in row)
+    grid = orbit_grid(TorusPoint(1, 3), 2, 3, 2)
     assert grid == [
-        [make_point(1, 3), make_point(0, 1)],
-        [make_point(2, 3), make_point(0, 1)],
+        [TorusPoint(1, 3), TorusPoint(0, 1)],
+        [TorusPoint(2, 3), TorusPoint(0, 1)],
     ]
 
 
 def test_orbit_grid_matches_iterated_maps():
     rng = random.Random(7)
     for _ in range(20):
-        x = make_point(rng.randrange(10**6), rng.randrange(1, 10**6))
+        x = TorusPoint(rng.randrange(10**6), rng.randrange(1, 10**6))
         a, b = rng.choice([2, 3, 5, 6]), rng.choice([2, 3, 5, 6])
         grid = orbit_grid(x, a, b, 6)
         ym = x
@@ -78,16 +77,16 @@ def test_commutativity(x, a, b):
 
 
 def test_denominator_stability():
-    x = make_point(17, 360)
+    x = TorusPoint(17, 360)
     for row in orbit_grid(x, 2, 3, 5):
         for p in row:
             assert 360 % p.den == 0
 
 
 def test_digits_of_examples():
-    assert digits_of(make_point(1, 3), 6, 3).digits == (2, 0, 0)
-    assert digits_of(make_point(1, 7), 6, 4).digits == (0, 5, 0, 5)
-    assert digits_of(make_point(0, 1), 6, 2).digits == (0, 0)
+    assert digits_of(TorusPoint(1, 3), 6, 3).digits == (2, 0, 0)
+    assert digits_of(TorusPoint(1, 7), 6, 4).digits == (0, 5, 0, 5)
+    assert digits_of(TorusPoint(0, 1), 6, 2).digits == (0, 0)
 
 
 def test_digits_of_long_division_oracle():
@@ -97,13 +96,13 @@ def test_digits_of_long_division_oracle():
         num *= 6
         expect.append(num // den)
         num %= den
-    assert digits_of(make_point(1, 7), 6, 8).digits == tuple(expect)
+    assert digits_of(TorusPoint(1, 7), 6, 8).digits == tuple(expect)
 
 
 def test_point_of_word_examples():
-    assert point_of_word(DigitWord(6, (2, 0, 0))) == make_point(1, 3)
-    assert point_of_word(DigitWord(6, (0, 5))) == make_point(5, 36)
-    assert point_of_word(DigitWord(6, ())) == make_point(0, 1)
+    assert point_of_word(DigitWord(6, (2, 0, 0))) == TorusPoint(1, 3)
+    assert point_of_word(DigitWord(6, (0, 5))) == TorusPoint(5, 36)
+    assert point_of_word(DigitWord(6, ())) == TorusPoint(0, 1)
 
 
 @settings(max_examples=60)
@@ -111,25 +110,25 @@ def test_point_of_word_examples():
 def test_digit_round_trip(x, base, L):
     w = digits_of(x, base, L)
     y = point_of_word(w)
-    assert abs(x.as_fraction() - y.as_fraction()) < 1 / base**L
+    assert abs(Fraction(x.num, x.den) - Fraction(y.num, y.den)) < 1 / base**L
     assert digits_of(y, base, L) == w
 
 
 def test_cylinder_of_examples():
-    assert cylinder_of(make_point(1, 3), 6) == 2
-    assert cylinder_of(make_point(0, 1), 10) == 0
-    assert cylinder_of(make_point(5, 36), 6) == 0
+    assert cylinder_of(TorusPoint(1, 3), 6) == 2
+    assert cylinder_of(TorusPoint(0, 1), 10) == 0
+    assert cylinder_of(TorusPoint(5, 36), 6) == 0
 
 
 @settings(max_examples=40)
 @given(points, st.integers(1, 50))
 def test_cylinder_contains_point(x, d):
     j = cylinder_of(x, d)
-    assert Fraction(j, d) <= x.as_fraction() < Fraction(j + 1, d)
+    assert Fraction(j, d) <= Fraction(x.num, x.den) < Fraction(j + 1, d)
 
 
 def test_serialization_round_trip():
-    x = make_point(5, 36)
+    x = TorusPoint(5, 36)
     assert TorusPoint.parse(str(x)) == x
     assert str(DigitWord(6, (2, 0, 5))) == "b6:205"
     assert str(DigitWord(12, (11, 0, 3))) == "b12:11.0.3"

@@ -1,0 +1,66 @@
+"""The benchmark's tracer (perfbench/tracing.py) still fits the library.
+
+The tracer wraps the functions its SPANS name and binds some of their
+parameters by name when it counts a call. A renamed or deleted function or
+parameter would otherwise show only in the slow benchmark smoke test.
+"""
+import importlib.util
+import inspect
+from pathlib import Path
+
+from abtorus import TorusPoint, cli, irregular, measures, moran, torus, typecount
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODULES = {
+    "torus": torus, "measures": measures, "moran": moran,
+    "irregular": irregular, "typecount": typecount, "cli": cli,
+}
+# The parameters Tracer._count binds, per traced function.
+BOUND = {
+    "torus.orbit_fracs": ("x", "a", "b", "N"),
+    "torus.orbit_grid": ("N",),
+    "measures.empirical_measure": ("N",),
+    "measures.fourier_average": ("N",),
+    "measures.invariance_defect": ("N",),
+    "measures.convergence_diagnostic": ("horizons",),
+    "measures.semiequidist_profile": ("horizons",),
+    "moran.box_counting_estimate": ("intervals", "scales"),
+    "typecount.count_R": ("k", "N"),
+}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_functions(tracing) -> set[str]:
+    return {".".join(span.split(".")[:2]) for span in tracing.SPANS}  # orbit_fracs.<path> is one function
+
+
+def test_traced_functions_keep_the_parameters_the_tracer_binds():
+    tracing = load_tracing()
+    assert set(BOUND) <= traced_functions(tracing)
+    for name, params in BOUND.items():
+        module, func = name.split(".")
+        assert set(params) <= set(inspect.signature(getattr(MODULES[module], func)).parameters), name
+
+
+def test_tracer_installs_over_the_library_and_uninstalls():
+    tracing = load_tracing()
+    before = {name: dict(vars(module)) for name, module in MODULES.items()}
+    tracer = tracing.Tracer(MODULES, seed=0)
+    tracer.install()
+    try:
+        for name in traced_functions(tracing):
+            module, func = name.split(".")
+            assert getattr(MODULES[module], func).__wrapped__ is before[module][func], name
+        measures.empirical_measure(TorusPoint(1, 5), 2, 3, 3, 4, 1)
+        assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == 9
+        assert tracer.counts[0]["measures.cells"] == 9
+    finally:
+        tracer.uninstall()
+    for name, module in MODULES.items():
+        assert all(vars(module)[attr] is value for attr, value in before[name].items()), name

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import (
+    TorusPoint,
     apply_times,
     block_entropy_estimate,
     count_R,
@@ -18,7 +19,6 @@ from abtorus import (
     growth_profile,
     itinerary_choices,
     kt_bound,
-    make_point,
     point_of_word,
     q_bound,
 )
@@ -170,25 +170,25 @@ def test_growth_profile_rejects_unsorted():
 
 
 def test_itinerary_fixed_point():
-    rec = itinerary_choices(make_point(0, 1), 2, 3, 2, 6)
+    rec = itinerary_choices(TorusPoint(0, 1), 2, 3, 2, 6)
     assert len(set(rec.indices)) == 1
     assert entropy(rec.q) == 0.0
 
 
 def test_itinerary_period_two():
-    rec = itinerary_choices(make_point(1, 3), 2, 2, 1, 4)
+    rec = itinerary_choices(TorusPoint(1, 3), 2, 2, 1, 4)
     assert rec.q == (Fraction(1, 2), Fraction(1, 2))
     assert entropy(rec.q) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_itinerary_decimation_identity():
     # q is the length-weighted average of the decimated subword distributions
-    x = make_point(5, 97)
+    x = TorusPoint(5, 97)
     rec = itinerary_choices(x, 2, 2, 3, 12)
     total = [Fraction(0)] * len(rec.q)
     weight = Fraction(0)
     for l, sub in enumerate(rec.decimated):
-        n_l = len(rec.indices[l :: rec.M])
+        n_l = len(rec.indices[l :: 3])
         for i, v in enumerate(sub):
             total[i] += n_l * v
         weight += n_l
@@ -204,7 +204,7 @@ def test_itinerary_decimation_identity():
 )
 def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
     """Cells read off the residues a^n num mod den equal those of the exact T_a chain."""
-    x, N = make_point(num, den), M + extra  # N >= M, so no decimated subword is empty
+    x, N = TorusPoint(num, den), M + extra  # N >= M, so no decimated subword is empty
     pts = [x]
     for _ in range(N + M - 2):
         pts.append(apply_times(pts[-1], a))
@@ -215,17 +215,17 @@ def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
 
 def test_itinerary_rejects_multiplier_below_two():
     with pytest.raises(ValueError, match="a must be >= 2"):
-        itinerary_choices(make_point(1, 5), 1, 2, 2, 4)
+        itinerary_choices(TorusPoint(1, 5), 1, 2, 2, 4)
 
 
 def test_block_entropy_fixed_point():
     for M in range(1, 9):
-        assert block_entropy_estimate(make_point(0, 1), 2, 2, M, 20) == 0.0
+        assert block_entropy_estimate(TorusPoint(0, 1), 2, 2, M, 20) == 0.0
 
 
 def test_block_entropy_period_two():
     want = math.log(2) / 2
-    assert block_entropy_estimate(make_point(1, 3), 2, 2, 2, 400) == pytest.approx(
+    assert block_entropy_estimate(TorusPoint(1, 3), 2, 2, 2, 400) == pytest.approx(
         want, abs=1e-2
     )
 
