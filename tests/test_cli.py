@@ -281,6 +281,8 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
          "N = 100000 exceeds the grid side limit 8192"),  # den >= 2^31 takes the digit path
         (["empirical", "-a", "2", "-b", "3", "-x", "1/5", "-N", "3", "-d", "1000000000", "-K", "1"],
          "need N >= 1, 1 <= d <= 1048576, K >= 0"),
+        (["itinerary", "-a", "2", "-x", "1/3", "-d", "2", "-M", "3", "-N", "2"],
+         "need d >= 1, M >= 1, N >= M"),
         (["empirical", "-a", "2", "-b", "3", "-x", "1/5", "-N", "3", "-d", "1048577", "-K", "1"],
          "need N >= 1, 1 <= d <= 1048576, K >= 0"),
         (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "1/2", "--horizons", "5"],
@@ -289,8 +291,6 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
          "-U takes two values lo,hi, not '0,1/4,1/2'"),
         (["count-r", "-K", "1200", "-N", "1200", "-t", "0.1"],
          "min(k, N) = 1200 exceeds the part limit 500"),  # the walk recurses once per part
-        (["itinerary", "-a", "2", "-x", "1/3", "-d", "2", "-M", "3", "-N", "2"],
-         "need d >= 1, M >= 1, N >= M"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):
