@@ -12,6 +12,8 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
+
 from . import irregular, measures, moran, torus, typecount
 from .torus import mult_indep_check
 
@@ -36,6 +38,14 @@ def _emit(args, payload: dict, csv_lines: list[str] | None = None) -> None:
 
 def _horizons(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
+
+
+def _fraction(flag: str, text: str) -> Fraction:
+    """One rational value of option `flag`; a bad one is a one-line error naming the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} value {text!r} is not a rational p/q with q != 0") from None
 
 
 @functools.cache
@@ -82,7 +92,10 @@ def run(argv: list[str]) -> int:
 def _orbit(args):
     _warn_dependent(args.a, args.b)
     x = torus.TorusPoint.parse(args.x)
-    cells = [[str(p) for p in row] for row in torus.orbit_grid(x, args.a, args.b, args.N)]
+    cells = []
+    for row in torus.orbit_residues(x, args.a, args.b, args.N):
+        g = np.gcd(row, x.den)  # each cell r/den in lowest terms, as TorusPoint would print it
+        cells.append([f"{n}/{d}" for n, d in zip((row // g).tolist(), (x.den // g).tolist())])
     _emit(args, {"orbit": cells}, [",".join(row) for row in cells])
 
 
@@ -118,7 +131,7 @@ def _moran_dim(args):
 def _box_dim(args):
     struct = moran.MoranStructure.parse(args.struct)
     intervals = moran.realize_intervals(struct, args.depth)
-    scales = [Fraction(s) for s in args.scales.split(",")]
+    scales = [_fraction("--scales", v) for v in args.scales.split(",")]
     est = moran.box_counting_estimate(intervals, scales)
     _emit(args, {"estimate": repr(est), "depth": args.depth})
 
@@ -126,7 +139,7 @@ def _box_dim(args):
 def _synthesize(args):
     """Schedule and synthesize a point; a ScheduleError reaches `run`."""
     _warn_dependent(args.a, args.b)
-    r = Fraction(args.r)
+    r = _fraction("-r", args.r)
     family = build_default_family(args.depth)
     sched = irregular.choose_schedule(args.a, args.b, r, args.depth, family, seed=args.seed)
     word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
@@ -184,7 +197,7 @@ def _equidist(args):
     x = torus.TorusPoint.parse(args.x)
     if args.U.count(",") != 1:
         raise ValueError(f"-U takes two values lo,hi, not {args.U!r}")
-    lo, hi = (Fraction(v) for v in args.U.split(","))
+    lo, hi = (_fraction("-U", v) for v in args.U.split(","))
     report = measures.semiequidist_profile(
         x, args.a, args.b, (lo, hi), _horizons(args.horizons), args.t
     )

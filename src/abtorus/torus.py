@@ -120,7 +120,11 @@ def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
 
 
 def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
-    """The N x N array of points a^m b^n x, read off the rows of `orbit_residues`."""
+    """The N x N array of points a^m b^n x, read off the rows of `orbit_residues`.
+
+    A per-cell `TorusPoint` reference: the `orbit` command formats the
+    residue rows directly and no library code calls this.
+    """
     return [[TorusPoint(r, x.den) for r in row.tolist()] for row in orbit_residues(x, a, b, N)]
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import irregular
+from abtorus import TorusPoint, irregular, torus
 from abtorus.cli import build_default_family, build_parser, mult_indep_check, run
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
@@ -259,6 +259,35 @@ def test_mult_indep_check_matches_brute_force(pair, swap):
     assert mult_indep_check(a, b) is not _dependent_reference(a, b)
 
 
+def orbit_reference(a: int, b: int, x: str, N: int) -> list[list[str]]:
+    """Each cell a^m b^n x as a per-cell TorusPoint of the exact big-integer product."""
+    p = TorusPoint.parse(x)
+    return [[str(TorusPoint(a**m * b**n * p.num, p.den)) for n in range(N)] for m in range(N)]
+
+
+@pytest.mark.parametrize(
+    "a, b, x, N",
+    [
+        (2, 3, "1234567/2147483647", 9),  # int64 rows, den = 2^31 - 1 coprime to 6
+        (2, 3, "5/54432", 9),  # den = 6^5 * 7: cells reduce
+        (5, 4, "7/3600", 6),  # cells reduce by powers of 2 and 5
+        (2, 3, f"1/{6**13}", 9),  # den >= 2^31 dividing 6^13
+        (2, 3, f"{10**17 + 3}/{2**61 - 1}", 9),  # den = 2^61 - 1: object rows
+        (2, 3, "0", 4),
+    ],
+)
+def test_orbit_stdout_matches_per_cell_reference(capsys, monkeypatch, a, b, x, N):
+    def unused(*args, **kwargs):
+        raise AssertionError("orbit formats the residue rows, not the TorusPoint grid")
+
+    monkeypatch.setattr(torus, "orbit_grid", unused)
+    want = orbit_reference(a, b, x, N)
+    argv = ["orbit", "-a", str(a), "-b", str(b), "-x", x, "-N", str(N)]
+    assert capture(capsys, argv) == (0, json.dumps({"orbit": want, "seed": 0}) + "\n", "")
+    csv = "".join(",".join(row) + "\n" for row in want)
+    assert capture(capsys, argv + ["--format", "csv"]) == (0, csv, "")
+
+
 def test_orbit_with_huge_multiplier_is_exact(capsys):
     a = 10**400
     code, out, err = capture(capsys, ["orbit", "-a", str(a), "-b", "3", "-x", "1/7", "-N", "3"])
@@ -291,6 +320,18 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
          "-U takes two values lo,hi, not '0,1/4,1/2'"),
         (["count-r", "-K", "1200", "-N", "1200", "-t", "0.1"],
          "min(k, N) = 1200 exceeds the part limit 500"),  # the walk recurses once per part
+        (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "1/2,x", "--horizons", "5"],
+         "-U value 'x' is not a rational p/q with q != 0"),
+        (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "1/0,1", "--horizons", "5"],
+         "-U value '1/0' is not a rational p/q with q != 0"),
+        (["synth-irregular", "-a", "2", "-b", "3", "-r", "x", "--depth", "1"],
+         "-r value 'x' is not a rational p/q with q != 0"),
+        (["verify-irregular", "-a", "2", "-b", "3", "-r", "1/0", "--depth", "1"],
+         "-r value '1/0' is not a rational p/q with q != 0"),
+        (["box-dim", "--struct", "n=2;c=1/3 periodic", "--depth", "2", "--scales", "1/3,1/0"],
+         "--scales value '1/0' is not a rational p/q with q != 0"),
+        (["box-dim", "--struct", "n=2;c=1/3 periodic", "--depth", "2", "--scales", "1/3,,1/9"],
+         "--scales value '' is not a rational p/q with q != 0"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):

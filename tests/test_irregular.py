@@ -298,9 +298,12 @@ def test_bump_function_range_check():
 
 
 def test_induced_moran_structure(schedule_d2):
+    assert (schedule_d2.N, schedule_d2.L) == ((23, 1175), (48, 2493))
     struct = induced_moran_structure(schedule_d2)
     dims = moran_dims(struct, len(struct.counts) - 1)
     assert 0 < dims.s2 <= dims.s1 <= 1 + 1e-12
+    assert dims.s1 == pytest.approx(0.9790231112493912, rel=0, abs=1e-12)
+    assert dims.s2 == pytest.approx(0.4898621317230368, rel=0, abs=1e-12)
 
 
 def test_recipe_serialization(synth_d2, report_d2, monkeypatch, capsys):

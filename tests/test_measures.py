@@ -223,3 +223,69 @@ def test_convergence_diagnostic_is_weak_star_distance_of_empirical_measure(x, K)
     for N, got in zip(horizons, dists):
         mu = empirical_measure(x, 2, 3, N, d, K)
         assert abs(got - weak_star_distance(mu, lebesgue_reference(d, K))) < 1e-12
+
+
+def _moebius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _totient(n: int) -> int:
+    return sum(1 for u in range(1, n + 1) if math.gcd(u, n) == 1)
+
+
+def _order(c: int, q: int) -> int:
+    n, z = 1, c % q
+    while z != 1:
+        z, n = z * c % q, n + 1
+    return n
+
+
+def _generated(gens: tuple[int, ...], q: int) -> set[int]:
+    """The subgroup of (Z/q)^x that gens generate, by closure under multiplication."""
+    seen, todo = {1}, [1]
+    while todo:
+        u = todo.pop()
+        for g in gens:
+            v = u * g % q
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "q, p, k, N, want",
+    [
+        (7, 1, 1, 6, Fraction(-1, 6)),
+        (35, 1, 7, 12, Fraction(-1, 4)),
+        (5, 1, 2, 4, Fraction(-1, 4)),
+        (11, 4, -3, 10, Fraction(-1, 10)),
+        (13, 5, 3, 12, Fraction(-1, 12)),
+        (25, 2, 5, 20, Fraction(-1, 4)),
+        (25, 1, 1, 40, Fraction(0)),
+        (49, 3, 7, 42, Fraction(-1, 6)),
+        (49, 1, 49, 42, Fraction(1)),
+        (77, 2, 11, 30, Fraction(-1, 6)),
+        (91, 1, 1, 12, Fraction(1, 72)),
+    ],
+)
+def test_fourier_average_is_exact_ramanujan_sum(q, p, k, N, want):
+    """With <2, 3> = (Z/q)^x and ord_q(2), ord_q(3) | N, (m, n) -> 2^m 3^n covers the
+    units uniformly, so the average of e(k 2^m 3^n p/q) is c_q(kp)/phi(q) = mu(g)/phi(g)
+    with g = q/gcd(q, kp)."""
+    a, b = 2, 3
+    assert math.gcd(q, a * b) == 1 and math.gcd(p, q) == 1
+    assert N % _order(a, q) == 0 and N % _order(b, q) == 0
+    assert _generated((a, b), q) == {u for u in range(1, q) if math.gcd(u, q) == 1}
+    g = q // math.gcd(q, k * p)
+    assert Fraction(_moebius(g), _totient(g)) == want
+    c = fourier_average(TorusPoint(p, q), a, b, N, k)
+    assert abs(c - float(want)) <= 1e-14
