@@ -3,8 +3,6 @@
 from .torus import (
     DigitWord,
     TorusPoint,
-    apply_times,
-    cylinder_of,
     digits_of,
     mult_indep_check,
     orbit_fracs,
@@ -19,9 +17,7 @@ from .measures import (
     empirical_measure,
     fourier_average,
     invariance_defect,
-    lebesgue_reference,
     semiequidist_profile,
-    weak_star_distance,
 )
 from .moran import DimensionPair, MoranStructure, box_counting_estimate, moran_dims, realize_intervals
 from .irregular import (
@@ -40,7 +36,6 @@ from .irregular import (
 )
 from .typecount import (
     ChoiceRecord,
-    block_entropy_estimate,
     count_R,
     dist,
     entropy,

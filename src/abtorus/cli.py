@@ -42,6 +42,8 @@ def _horizons(text: str) -> list[int]:
 
 def _fraction(flag: str, text: str) -> Fraction:
     """One rational value of option `flag`; a bad one is a one-line error naming the flag."""
+    if "e" in text.lower():  # an exponent form: 1e-4000000 alone builds a 4-million-digit integer
+        raise ValueError(f"{flag} value {text!r} has an exponent; write it as p/q or a decimal")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -25,6 +25,7 @@ from .torus import DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
 SAMPLE_DEN = 2_147_483_647
 _MAX_TRIES = 2000  # donor draws per level before synthesize_point gives up
 _SAMPLES, _GROWTH, _MAX_EXPANSIONS = 150, 1.3, 12  # schedule: samples per try, N growth, tries per level
+_ETA = 0.01  # floor of every test function, so each is bounded in (0, 1]
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,12 @@ class TrigTestFunction:
         return (1.0 - self.eta) * math.pi * self.freq
 
 
-def build_test_family(count: int, eta: float = 0.01) -> tuple[TrigTestFunction, ...]:
-    """Odd members are cosines, even members sines, with frequency ceil(i/2)."""
+def build_test_family(count: int) -> tuple[TrigTestFunction, ...]:
+    """Odd members are cosines, even members sines, with frequency ceil(i/2) and floor _ETA."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not 0 < eta < 1:
-        raise ValueError("eta must be in (0, 1)")
     return tuple(
-        TrigTestFunction(freq=(i + 2) // 2, kind="cos" if i % 2 == 0 else "sin", eta=eta)
+        TrigTestFunction(freq=(i + 2) // 2, kind="cos" if i % 2 == 0 else "sin", eta=_ETA)
         for i in range(count)
     )
 
@@ -188,21 +187,18 @@ def estimate_X_measure(
     family: tuple[TrigTestFunction, ...],
     a: int,
     b: int,
-    samples: int,
     seed: int,
 ) -> MeasureEstimate:
-    """Monte Carlo estimate of the measure of the good set at horizon N."""
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    """Monte Carlo estimate of the measure of the good set at horizon N, from _SAMPLES points."""
     rng = random.Random(seed)
     hits = 0
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         x = TorusPoint(rng.randrange(1, SAMPLE_DEN), SAMPLE_DEN)
         if membership_X(x, k, N, family, a, b):
             hits += 1
-    p = hits / samples
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-    return MeasureEstimate(value=p, half_width=half, samples=samples)
+    p = hits / _SAMPLES
+    half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / _SAMPLES) / _SAMPLES)
+    return MeasureEstimate(value=p, half_width=half, samples=_SAMPLES)
 
 
 def modulus_l(k: int, family: tuple[TrigTestFunction, ...], a: int, b: int) -> int:
@@ -258,7 +254,7 @@ def choose_schedule(
         best: MeasureEstimate | None = None
         best_N = N
         for attempt in range(_MAX_EXPANSIONS):
-            est = estimate_X_measure(k, N, family, a, b, _SAMPLES, seed + 7919 * k + attempt)
+            est = estimate_X_measure(k, N, family, a, b, seed + 7919 * k + attempt)
             if best is None or est.value > best.value:
                 best, best_N = est, N
             if est.value - est.half_width > r:
@@ -402,7 +398,8 @@ def induced_moran_structure(schedule: Schedule) -> MoranStructure:
     Per level: one branch-count term for the copied block (the certified
     lower bound floor(r * (ab)^(N_k - L_{k-1})) stands in for the exact
     cylinder count), one (ab, 1/ab) term per free digit, and a single
-    child for the zero block.
+    child for the zero block.  Its `moran_dims` (running minima after the
+    burn-in) stand in at finite depth for the liminf of the full construction.
     """
     a, b, r = schedule.a, schedule.b, Fraction(schedule.r)
     ab = a * b

@@ -28,10 +28,6 @@ class EmpiricalMeasure:
     fourier: dict[int, complex]
     N: int
 
-    @property
-    def K(self) -> int:
-        return max(abs(k) for k in self.fourier)
-
     def __post_init__(self):
         total = sum(self.weights)
         if abs(total - 1.0) > 1e-12:
@@ -102,26 +98,6 @@ def _characters(x: TorusPoint, a: int, b: int, N: int, K: int):
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
     """The Birkhoff average (1/N^2) sum e^(2 pi i k a^m b^n x)."""
     return complex(_character(x, a, b, N, k).mean())
-
-
-def lebesgue_reference(d: int = 1, K: int = 16) -> EmpiricalMeasure:
-    """The Lebesgue measure truncated like an EmpiricalMeasure (all nonzero modes vanish)."""
-    fourier: dict[int, complex] = {0: 1}
-    for k in range(1, K + 1):
-        fourier[k] = 0j
-        fourier[-k] = 0j
-    return EmpiricalMeasure(d=d, weights=(1.0 / d,) * d, fourier=fourier, N=0)
-
-
-def weak_star_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Sum over 1 <= |k| <= K of 2^-|k| |mu_hat(k) - nu_hat(k)|."""
-    if mu.K != nu.K:
-        raise ValueError(f"truncation mismatch: {mu.K} != {nu.K}")
-    return sum(
-        2.0 ** -abs(k) * abs(mu.fourier[k] - nu.fourier[k])
-        for k in mu.fourier
-        if k != 0
-    )
 
 
 def invariance_defect(
@@ -229,7 +205,7 @@ def semiequidist_profile(
 def convergence_diagnostic(
     x: TorusPoint, a: int, b: int, horizons: Sequence[int], K: int
 ) -> list[float]:
-    """Weak* distance to Lebesgue per horizon (no monotonicity is asserted)."""
+    """Weak* distance sum_{1 <= |k| <= K} 2^-|k| |mu_hat_N(k)| to Lebesgue per horizon (not monotone in N)."""
     horizons = _horizon_list(horizons)
     out = [0.0] * len(horizons)
     for k, z in enumerate(_characters(x, a, b, max(horizons), K), start=1):

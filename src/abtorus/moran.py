@@ -39,6 +39,8 @@ def _entry(spec: dict, key: str) -> list:
         raise ValueError(f"struct spec {key!r} entry must be a list of numbers")
     if not all(math.isfinite(v) for v in val if isinstance(v, float)):
         raise ValueError(f"struct spec {key!r} entry must be finite")
+    if any("e" in v.lower() for v in val if isinstance(v, str)):  # 1e-300000 would build a huge integer
+        raise ValueError(f"struct spec {key!r} entry must be written without exponents")
     return val
 
 
@@ -231,7 +233,7 @@ def box_counting_estimate(intervals: Realization, scales: list[Fraction]) -> flo
         box = intervals.den * eps.numerator
         first = intervals.lefts * eps.denominator // box
         last = -(-(intervals.lefts + intervals.length) * eps.denominator // box) - 1
-        shared = np.count_nonzero(first[1:] == last[:-1])  # ascending disjoint intervals share only end boxes
+        shared = int(np.count_nonzero(first[1:] == last[:-1]))  # only end boxes; int: counts pass 2^63
         xs.append(-_log_fraction(eps))
         ys.append(math.log((last - first + 1).sum() - shared))
     x_bar = sum(xs) / len(xs)

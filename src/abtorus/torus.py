@@ -78,11 +78,6 @@ def mult_indep_check(a: int, b: int) -> bool:
     return False
 
 
-def apply_times(x: TorusPoint, c: int) -> TorusPoint:
-    """The map T_c: x -> c*x mod 1, exactly."""
-    return TorusPoint(c * x.num, x.den)
-
-
 def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
     """The N rows of exact residues r[m, n] = a^m b^n num mod den of x = num/den.
 
@@ -299,10 +294,3 @@ def point_of_word(w: DigitWord) -> TorusPoint:
     for d in w.digits:
         num = num * w.base + d
     return TorusPoint(num, w.base ** len(w.digits))
-
-
-def cylinder_of(x: TorusPoint, d: int) -> int:
-    """Index floor(d*x) of the depth-d cylinder [j/d, (j+1)/d) containing x (left-closed)."""
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    return x.num * d // x.den

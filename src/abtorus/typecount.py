@@ -22,12 +22,10 @@ def entropy(p) -> float:
     return -sum(float(v) * math.log(v) for v in p if v > 0)
 
 
-def dist(word: Sequence[int], k: int | None = None) -> tuple[Fraction, ...]:
+def dist(word: Sequence[int], k: int) -> tuple[Fraction, ...]:
     """Empirical distribution of a word over symbols {1, ..., k}, exact rationals."""
     if len(word) == 0:
         raise ValueError("empty word")
-    if k is None:
-        k = max(word)
     counts = [0] * k
     for s in word:
         if not 1 <= s <= k:
@@ -116,26 +114,19 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
     return ChoiceRecord(indices=tuple(indices), q=q, decimated=decimated)
 
 
-def block_entropy_estimate(x: TorusPoint, a: int, d: int, M: int, N: int) -> float:
-    """H(q)/M: the finite-horizon per-step itinerary entropy."""
-    return entropy(itinerary_choices(x, a, d, M, N).q) / M
-
-
-def kt_bound(a: int, b: int, t: float, check_range: bool = True) -> float:
+def kt_bound(a: int, b: int, t: float) -> float:
     """2 sqrt(log b) sqrt(t) / (log a + sqrt(log b) sqrt(t)).
 
-    The admissible range is 0 < t < min{log b, (log a)^2 / log b};
-    check_range=False evaluates the bare formula for endpoint-limit
-    checks (it reaches 1 exactly at t = (log a)^2 / log b).
+    The admissible range is 0 < t < min{log b, (log a)^2 / log b}; NaN is
+    outside it.  The formula tends to 1 as t tends to (log a)^2 / log b.
     """
     la, lb = math.log(a), math.log(b)
-    if check_range:
-        if t <= 0:
-            raise ValueError("t must be positive")
-        upper = min(lb, la * la / lb)
+    upper = min(lb, la * la / lb)
+    if not 0 < t < upper:
         if t >= upper:
             which = "log b" if lb <= la * la / lb else "(log a)^2 / log b"
             raise ValueError(f"t={t} >= {upper} (violates bound {which})")
+        raise ValueError("t must be positive")
     root = math.sqrt(lb * t)
     return 2.0 * root / (la + root)
 

@@ -332,6 +332,17 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
          "--scales value '1/0' is not a rational p/q with q != 0"),
         (["box-dim", "--struct", "n=2;c=1/3 periodic", "--depth", "2", "--scales", "1/3,,1/9"],
          "--scales value '' is not a rational p/q with q != 0"),
+        # exponent forms: 1e-4000000 would build a 4-million-digit integer before any check
+        (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "0,1e-4000000", "--horizons", "5"],
+         "-U value '1e-4000000' has an exponent; write it as p/q or a decimal"),
+        (["synth-irregular", "-a", "2", "-b", "3", "-r", "5E-1", "--depth", "1"],
+         "-r value '5E-1' has an exponent; write it as p/q or a decimal"),
+        (["box-dim", "--struct", "n=2;c=1/3 periodic", "--depth", "2", "--scales", "1/3,1e-2,1/9"],
+         "--scales value '1e-2' has an exponent; write it as p/q or a decimal"),
+        (["moran-dim", "--struct", "n=2;c=1e-300000 periodic"],
+         "struct spec 'c' entry must be written without exponents"),
+        (["moran-dim", "--struct", '{"n": [2], "c": ["1E-3"], "periodic": true}'],
+         "struct spec 'c' entry must be written without exponents"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):
@@ -404,14 +415,22 @@ def test_struct_spec_entry_not_a_list_exit_one(capsys, spec, key):
     assert err == f"error: struct spec {key!r} entry must be a list of numbers\n"
 
 
+NAN_ERRORS = {"count-r": "need k >= 1, N >= 1, t >= 0", "growth": "need k >= 1, N >= 1, t >= 0",
+              "kt-bound": "t must be positive"}
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["count-r", "-K", "2", "-N", "5", "-t", "nan"], ["growth", "-K", "2", "-t", "nan", "--horizons", "5"]],
+    [
+        ["count-r", "-K", "2", "-N", "5", "-t", "nan"],
+        ["growth", "-K", "2", "-t", "nan", "--horizons", "5"],
+        ["kt-bound", "-a", "2", "-b", "3", "-t", "nan"],
+    ],
 )
 def test_nan_threshold_exit_one(capsys, argv):
     code, out, err = capture(capsys, argv)
     assert (code, out) == (1, "")
-    assert err == "error: need k >= 1, N >= 1, t >= 0\n"
+    assert err == f"error: {NAN_ERRORS[argv[0]]}\n"
 
 
 def test_count_r_alphabet_larger_than_length(capsys):

@@ -24,7 +24,7 @@ from abtorus import (
     point_of_word,
     synthesize_point,
 )
-from abtorus.irregular import SAMPLE_DEN, ScheduleError, _bin_weights, _family_averages
+from abtorus.irregular import SAMPLE_DEN, ScheduleError, TrigTestFunction, _bin_weights, _family_averages
 
 GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 
@@ -40,7 +40,7 @@ def test_family_values_and_integral():
 
 
 def test_family_bounds():
-    fam = build_test_family(3, eta=0.05)
+    fam = tuple(TrigTestFunction(freq, kind, eta=0.05) for freq, kind in ((1, "cos"), (1, "sin"), (2, "cos")))
     import numpy as np
 
     xs = np.linspace(0, 1, 1001)
@@ -113,7 +113,7 @@ def fallbacks(monkeypatch):
     ],
 )
 def test_membership_falls_back_near_the_threshold(fallbacks, eta, num, expected):
-    fam = build_test_family(1, eta)
+    fam = (TrigTestFunction(1, "cos", eta),)
     x = TorusPoint(num, SAMPLE_DEN)
     assert membership_X(x, 1, 1, fam, 2, 3) is expected
     assert len(fallbacks) == 1
@@ -151,14 +151,13 @@ def test_membership_rejects_bad_horizon():
         membership_X(TorusPoint(1, 3), 1, 0, fam, 2, 3)
 
 
-def test_estimate_X_measure():
+def test_estimate_X_measure(monkeypatch):
     fam = build_test_family(1)
-    est = estimate_X_measure(1, 60, fam, 2, 3, samples=200, seed=5)
-    assert est.value >= 0.9
-    small = estimate_X_measure(1, 1, fam, 2, 3, samples=200, seed=5)
+    monkeypatch.setattr(irregular, "_SAMPLES", 200)
+    est = estimate_X_measure(1, 60, fam, 2, 3, seed=5)
+    assert est.value >= 0.9 and est.samples == 200
+    small = estimate_X_measure(1, 1, fam, 2, 3, seed=5)
     assert small.value < est.value
-    with pytest.raises(ValueError):
-        estimate_X_measure(1, 60, fam, 2, 3, samples=0, seed=5)
 
 
 def test_modulus_l_values():

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from abtorus import (
+    EmpiricalMeasure,
     TorusPoint,
     convergence_diagnostic,
     empirical_measure,
     fourier_average,
     invariance_defect,
-    lebesgue_reference,
     orbit_fracs,
     point_of_word,
     semiequidist_profile,
-    weak_star_distance,
 )
 from words import random_word
+
+
+def lebesgue_distance(mu: EmpiricalMeasure) -> float:
+    """Weak* distance from mu to Lebesgue, whose nonzero modes vanish: sum of 2^-|k| |mu_hat(k)|."""
+    return sum(2.0 ** -abs(k) * abs(c) for k, c in mu.fourier.items() if k != 0)
 
 
 def test_point_mass_measure():
@@ -50,30 +54,10 @@ def test_exact_count_consistency():
 
 
 def test_weak_star_identity_and_example():
-    mu = empirical_measure(TorusPoint(1, 7), 2, 3, 5, 4, 2)
-    assert weak_star_distance(mu, mu) == 0.0
+    leb = EmpiricalMeasure(d=4, weights=(0.25,) * 4, fourier={0: 1, 1: 0j, -1: 0j, 2: 0j, -2: 0j}, N=0)
+    assert lebesgue_distance(leb) == 0.0
     delta0 = empirical_measure(TorusPoint(0, 1), 2, 3, 5, 4, 2)
-    leb = lebesgue_reference(4, 2)
-    assert weak_star_distance(delta0, leb) == pytest.approx(1.5)
-    assert weak_star_distance(leb, delta0) == weak_star_distance(delta0, leb)
-
-
-def test_weak_star_triangle_inequality():
-    rng = random.Random(3)
-    mus = [
-        empirical_measure(TorusPoint(rng.randrange(1, 997), 997), 2, 3, 6, 4, 5)
-        for _ in range(9)
-    ]
-    for mu, nu, rho in zip(mus[0::3], mus[1::3], mus[2::3]):
-        d = weak_star_distance
-        assert d(mu, rho) <= d(mu, nu) + d(nu, rho) + 1e-12
-
-
-def test_weak_star_mismatched_truncation():
-    mu = empirical_measure(TorusPoint(1, 7), 2, 3, 5, 4, 2)
-    nu = empirical_measure(TorusPoint(1, 7), 2, 3, 5, 4, 3)
-    with pytest.raises(ValueError):
-        weak_star_distance(mu, nu)
+    assert lebesgue_distance(delta0) == pytest.approx(1.5)  # every mode of a point mass at 0 is 1
 
 
 def test_invariance_defect_fixed_point():
@@ -222,7 +206,7 @@ def test_convergence_diagnostic_is_weak_star_distance_of_empirical_measure(x, K)
     dists = convergence_diagnostic(x, 2, 3, horizons, K)
     for N, got in zip(horizons, dists):
         mu = empirical_measure(x, 2, 3, N, d, K)
-        assert abs(got - weak_star_distance(mu, lebesgue_reference(d, K))) < 1e-12
+        assert abs(got - lebesgue_distance(mu)) < 1e-12
 
 
 def _moebius(n: int) -> int:

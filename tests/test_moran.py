@@ -246,12 +246,14 @@ def test_lattice_realization_and_box_count_match_fraction_reference(case):
 
 
 def test_box_counting_fine_scales_need_no_box_set():
-    # A set of box indices would hold 5*10**11 ints at eps = 10**-12.
+    # A set of box indices would hold 5*10**11 ints at eps = 10**-12; past
+    # eps = 10**-19 the box count of [0, 1/2) exceeds 2^63.
     intervals = realize_intervals(periodic([1], ["1/2"]), 1)
-    start = time.perf_counter()
-    est = box_counting_estimate(intervals, [Fraction(1, 10**j) for j in (10, 11, 12)])
-    assert time.perf_counter() - start < 1.0
-    assert est == pytest.approx(1.0, abs=1e-12)
+    for exponents in ((10, 11, 12), (19, 20, 21)):
+        start = time.perf_counter()
+        est = box_counting_estimate(intervals, [Fraction(1, 10**j) for j in exponents])
+        assert time.perf_counter() - start < 1.0
+        assert est == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parse_json_form():

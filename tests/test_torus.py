@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from abtorus import (
     DigitWord,
     TorusPoint,
-    apply_times,
-    cylinder_of,
     digits_of,
+    itinerary_choices,
     orbit_grid,
     point_of_word,
 )
@@ -32,12 +31,6 @@ def test_torus_point_normalizes():
 def test_zero_denominator_rejected():
     with pytest.raises(ValueError):
         TorusPoint(1, 0)
-
-
-def test_apply_times_examples():
-    assert apply_times(TorusPoint(1, 3), 2) == TorusPoint(2, 3)
-    assert apply_times(TorusPoint(2, 5), 3) == TorusPoint(1, 5)
-    assert apply_times(TorusPoint(1, 7), 6) == TorusPoint(6, 7)
 
 
 def test_orbit_grid_examples():
@@ -66,14 +59,15 @@ def test_orbit_grid_matches_iterated_maps():
             y = ym
             for n in range(6):
                 assert grid[m][n] == y
-                y = apply_times(y, b)
-            ym = apply_times(ym, a)
+                y = TorusPoint(b * y.num, y.den)
+            ym = TorusPoint(a * ym.num, ym.den)
 
 
 @settings(max_examples=60)
 @given(points, st.integers(2, 9), st.integers(2, 9))
 def test_commutativity(x, a, b):
-    assert apply_times(apply_times(x, a), b) == apply_times(apply_times(x, b), a)
+    ax, bx = TorusPoint(a * x.num, x.den), TorusPoint(b * x.num, x.den)
+    assert TorusPoint(b * ax.num, ax.den) == TorusPoint(a * bx.num, bx.den)
 
 
 def test_denominator_stability():
@@ -114,16 +108,22 @@ def test_digit_round_trip(x, base, L):
     assert digits_of(y, base, L) == w
 
 
+def cylinder_index(x: TorusPoint, d: int) -> int:
+    """The depth-d cylinder index of x that `itinerary_choices` reads (its cells are 1-based)."""
+    return itinerary_choices(x, 2, d, 1, 1).indices[0] - 1
+
+
 def test_cylinder_of_examples():
-    assert cylinder_of(TorusPoint(1, 3), 6) == 2
-    assert cylinder_of(TorusPoint(0, 1), 10) == 0
-    assert cylinder_of(TorusPoint(5, 36), 6) == 0
+    assert cylinder_index(TorusPoint(1, 3), 6) == 2
+    assert cylinder_index(TorusPoint(0, 1), 10) == 0
+    assert cylinder_index(TorusPoint(5, 36), 6) == 0
 
 
 @settings(max_examples=40)
 @given(points, st.integers(1, 50))
 def test_cylinder_contains_point(x, d):
-    j = cylinder_of(x, d)
+    # left-closed: x lies in [j/d, (j+1)/d)
+    j = cylinder_index(x, d)
     assert Fraction(j, d) <= Fraction(x.num, x.den) < Fraction(j + 1, d)
 
 

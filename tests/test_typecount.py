@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from abtorus import (
     TorusPoint,
-    apply_times,
-    block_entropy_estimate,
     count_R,
-    cylinder_of,
     dist,
     entropy,
     growth_profile,
@@ -79,10 +76,10 @@ def test_entropy_concavity(k, lam, data):
 
 
 def test_dist_examples():
-    assert dist((1, 1, 2)) == (Fraction(2, 3), Fraction(1, 3))
+    assert dist((1, 1, 2), 2) == (Fraction(2, 3), Fraction(1, 3))
     assert dist((3, 3, 3), 3) == (0, 0, 1)
     with pytest.raises(ValueError):
-        dist(())
+        dist((), 2)
 
 
 def test_dist_concatenation_identity():
@@ -207,8 +204,8 @@ def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
     x, N = TorusPoint(num, den), M + extra  # N >= M, so no decimated subword is empty
     pts = [x]
     for _ in range(N + M - 2):
-        pts.append(apply_times(pts[-1], a))
-    cyl = [cylinder_of(p, d) for p in pts]
+        pts.append(TorusPoint(a * pts[-1].num, pts[-1].den))
+    cyl = [p.num * d // p.den for p in pts]  # the depth-d cylinder index floor(d p)
     want = [1 + sum(cyl[n + i] * d ** (M - 1 - i) for i in range(M)) for n in range(N)]
     assert list(itinerary_choices(x, a, d, M, N).indices) == want
 
@@ -218,21 +215,24 @@ def test_itinerary_rejects_multiplier_below_two():
         itinerary_choices(TorusPoint(1, 5), 1, 2, 2, 4)
 
 
+def block_entropy(x, a, d, M, N):
+    """H(q)/M: the finite-horizon per-step entropy of the itinerary."""
+    return entropy(itinerary_choices(x, a, d, M, N).q) / M
+
+
 def test_block_entropy_fixed_point():
     for M in range(1, 9):
-        assert block_entropy_estimate(TorusPoint(0, 1), 2, 2, M, 20) == 0.0
+        assert block_entropy(TorusPoint(0, 1), 2, 2, M, 20) == 0.0
 
 
 def test_block_entropy_period_two():
     want = math.log(2) / 2
-    assert block_entropy_estimate(TorusPoint(1, 3), 2, 2, 2, 400) == pytest.approx(
-        want, abs=1e-2
-    )
+    assert block_entropy(TorusPoint(1, 3), 2, 2, 2, 400) == pytest.approx(want, abs=1e-2)
 
 
 def test_block_entropy_random_digits():
     x = point_of_word(random_word(2, 4000, seed=3))
-    est = block_entropy_estimate(x, 2, 2, 3, 3000)
+    est = block_entropy(x, 2, 2, 3, 3000)
     assert est == pytest.approx(math.log(2), abs=0.05)
 
 
@@ -250,10 +250,11 @@ def test_kt_bound_range_errors():
 
 
 def test_kt_bound_endpoint_limit():
-    t_star = math.log(4) ** 2 / math.log(2)
-    assert kt_bound(4, 2, t_star * (1 - 1e-12), check_range=False) == pytest.approx(
-        1.0, abs=1e-9
-    )
+    # at (2, 3) the range ends at t* = (log 2)^2 / log 3 < log 3, where the formula reaches 1
+    t_star = math.log(2) ** 2 / math.log(3)
+    assert kt_bound(2, 3, t_star * (1 - 1e-12)) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match=r"\(log a\)\^2 / log b"):
+        kt_bound(2, 3, t_star)
 
 
 def test_q_bound():
