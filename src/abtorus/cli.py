@@ -18,6 +18,9 @@ from . import irregular, measures, moran, torus, typecount
 from .torus import mult_indep_check
 
 USAGE_ERROR = 64
+# Longest side `orbit` prints: it keeps every cell string, about 160 B a cell
+# (674 MB peak RSS at N = 2048), so the kernel's MAX_SIDE would need ~10 GB.
+ORBIT_SIDE = 1 << 11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,12 +95,15 @@ def run(argv: list[str]) -> int:
 
 
 def _orbit(args):
+    if args.N > ORBIT_SIDE:
+        raise ValueError(f"N = {args.N} exceeds the orbit side limit {ORBIT_SIDE}")
     _warn_dependent(args.a, args.b)
     x = torus.TorusPoint.parse(args.x)
     cells = []
-    for row in torus.orbit_residues(x, args.a, args.b, args.N):
-        g = np.gcd(row, x.den)  # each cell r/den in lowest terms, as TorusPoint would print it
-        cells.append([f"{n}/{d}" for n, d in zip((row // g).tolist(), (x.den // g).tolist())])
+    for blk in torus.orbit_residues(x, args.a, args.b, args.N):
+        g = np.gcd(blk, x.den)  # each cell r/den in lowest terms, as TorusPoint would print it
+        for nums, dens in zip((blk // g).tolist(), (x.den // g).tolist()):
+            cells.append([f"{n}/{d}" for n, d in zip(nums, dens)])
     _emit(args, {"orbit": cells}, [",".join(row) for row in cells])
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .moran import MoranStructure
-from .torus import DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
+from .torus import _BLOCK_CELLS, DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
@@ -142,7 +142,9 @@ _CENTERS = (np.arange(_BINS) + 0.5) / _BINS
 
 def _bin_weights(fracs: np.ndarray) -> np.ndarray:
     """Share of the cells in each bin [j, j+1) / _BINS; a cell equal to 1.0 joins the last."""
-    counts = np.bincount((fracs * _BINS).astype(np.intp).ravel(), minlength=_BINS + 1)
+    R = max(1, _BLOCK_CELLS // fracs.shape[1])  # row blocks as the kernel's: no N x N temporaries
+    chunks = (fracs[s : s + R] * _BINS for s in range(0, len(fracs), R))
+    counts = sum(np.bincount(c.astype(np.intp).ravel(), minlength=_BINS + 1) for c in chunks)
     counts[_BINS - 1] += counts[_BINS]
     return counts[:_BINS] / fracs.size
 

@@ -55,8 +55,8 @@ class SemiEquidistReport:
 
 def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
     """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin floor(r*d/den)."""
-    rows = orbit_residues(x, a, b, N)
-    return sum(np.bincount((row * d // x.den).astype(np.intp), minlength=d) for row in rows)
+    blocks = orbit_residues(x, a, b, N)
+    return sum(np.bincount((blk * d // x.den).astype(np.intp).ravel(), minlength=d) for blk in blocks)
 
 
 def empirical_measure(
@@ -113,7 +113,7 @@ def invariance_defect(
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
     c, o = (a, b) if map_choice == "a" else (b, a)
-    first = next(orbit_residues(x, c, o, N))
+    first = next(orbit_residues(x, c, o, N))[0]
     rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
     last, plain = np.exp(1j * k * (tau * rows.astype(float))).sum(axis=1)
     return abs(last - plain) / N**2
@@ -128,14 +128,19 @@ def _interval_membership(
     the interval iff floor(lo' den) < r < ceil(hi' den) or, wrapping past 1,
     r < ceil(hi' den) - den.
     """
-    rows = orbit_residues(x, a, b, N)  # checks N before any grid is allocated
+    blocks = orbit_residues(x, a, b, N)  # checks N before any grid is allocated
     if hi - lo >= 1:
         return np.ones((N, N), dtype=bool)
     lo_mod = lo % 1
     hi_mod = lo_mod + (hi - lo)
     lo_end = lo_mod.numerator * x.den // lo_mod.denominator
     hi_end = -(-hi_mod.numerator * x.den // hi_mod.denominator)
-    return np.array([(r > lo_end) & (r < hi_end) | (r < hi_end - x.den) for r in rows], dtype=bool)
+    out = np.empty((N, N), dtype=bool)
+    m = 0
+    for r in blocks:
+        out[m : m + len(r)] = (r > lo_end) & (r < hi_end) | (r < hi_end - x.den)
+        m += len(r)
+    return out
 
 
 def _horizon_list(horizons: Sequence[int]) -> list[int]:

@@ -78,18 +78,29 @@ def mult_indep_check(a: int, b: int) -> bool:
     return False
 
 
+# Cells per block of the orbit kernel: about 2^15 int64 cells (256 KiB), so a
+# block and its temporaries stay in cache.  `orbit_residues` yields blocks of
+# max(1, _BLOCK_CELLS // N) rows; `_digit_fracs` certifies diagonals in
+# blocks of the same size.
+_BLOCK_CELLS = 1 << 15
+
+
 def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
-    """The N rows of exact residues r[m, n] = a^m b^n num mod den of x = num/den.
+    """Exact residues r[m, n] = a^m b^n num mod den of x = num/den, in blocks of rows.
 
     This is the one exact orbit kernel; its path depends only on the
-    denominator.  Every power comes from a running product z -> z * c % den.
-    For den < 2^31 each row is an int64 array a^m * bcol % den, whose
-    products stay below 2^62.  Larger denominators give object arrays of
-    Python ints, so memory stays O(N) per row.  The float grid
-    `orbit_fracs` reads r / den (correctly rounded) off these rows, except
-    when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its digit
-    automaton gives the same doubles without residues.  a, b < 2 and N
-    outside 1..MAX_SIDE are rejected at the call, before any row is built.
+    denominator.  It yields 2-D arrays of consecutive rows, max(1,
+    _BLOCK_CELLS // N) rows each (the last may be shorter), which stack to
+    the N x N grid; reading them holds a few blocks, whatever N.  Every
+    power comes from a running product z -> z * c % den.  For den < 2^31
+    a block is the int64 outer product acol[rows] * bcol, reduced exactly
+    as p - p // den * den: the products stay below 2^62.  Larger
+    denominators give object arrays of Python ints.  The float grid
+    `orbit_fracs` reads r / den (correctly rounded) off these blocks,
+    except when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its
+    digit automaton gives the same doubles without residues.  a, b < 2 and
+    N outside 1..MAX_SIDE are rejected at the call; no residue is computed
+    until the first block is read.
     """
     if min(a, b) < 2:
         raise ValueError("a, b must be >= 2")
@@ -97,12 +108,22 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
         raise ValueError("N must be >= 1")
     if N > MAX_SIDE:
         raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
-    den = x.den
+    return _residue_blocks(x, a, b, N)
+
+
+def _residue_blocks(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
+    den, R = x.den, max(1, _BLOCK_CELLS // N)
     if den < 2**31:
+        acol = np.array(_running_products(1, a, den, N), dtype=np.int64)
         bcol = np.array(_running_products(x.num, b, den, N), dtype=np.int64)
-        return (am * bcol % den for am in _running_products(1, a, den, N))
+        for s in range(0, N, R):
+            blk = acol[s : s + R, None] * bcol
+            blk -= blk // den * den  # a floor-divide by a scalar is faster than %
+            yield blk
+        return
     starts = _running_products(x.num, a, den, N)
-    return (np.array(_running_products(z, b, den, N), dtype=object) for z in starts)
+    for s in range(0, N, R):
+        yield np.array([_running_products(z, b, den, N) for z in starts[s : s + R]], dtype=object)
 
 
 def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
@@ -115,12 +136,13 @@ def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
 
 
 def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
-    """The N x N array of points a^m b^n x, read off the rows of `orbit_residues`.
+    """The N x N array of points a^m b^n x, read off the blocks of `orbit_residues`.
 
     A per-cell `TorusPoint` reference: the `orbit` command formats the
-    residue rows directly and no library code calls this.
+    residue blocks directly and no library code calls this.
     """
-    return [[TorusPoint(r, x.den) for r in row.tolist()] for row in orbit_residues(x, a, b, N)]
+    blocks = orbit_residues(x, a, b, N)
+    return [[TorusPoint(r, x.den) for r in row] for blk in blocks for row in blk.tolist()]
 
 
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
@@ -128,20 +150,23 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
 
     One of three row builders runs, chosen from x, a and b alone:
 
-    - den < 2^31: the int64 rows of `orbit_residues`, each cell r / den;
+    - den < 2^31: the int64 blocks of `orbit_residues`, each cell r / den;
     - den >= 2^31 dividing (ab)^K, with (ab)^2 <= 2^53: the base-ab digit
       automaton of `_digit_fracs`, with no big-integer arithmetic;
-    - any other den >= 2^31: the big-integer rows of `orbit_residues`.
+    - any other den >= 2^31: the big-integer blocks of `orbit_residues`.
 
     Each cell is the double nearest the exact point, so the paths agree.
+    The residue paths divide one block of rows at a time.
     """
-    rows = orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
+    blocks = orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
     K = _digit_length(x, a, b)
     if K:
         return _digit_fracs(x, a, b, N, K)
     out = np.empty((N, N))
-    for m, row in enumerate(rows):
-        out[m] = row / x.den
+    m = 0
+    for blk in blocks:
+        out[m : m + len(blk)] = blk / x.den
+        m += len(blk)
     return out
 
 
@@ -158,10 +183,6 @@ def _digit_length(x: TorusPoint, a: int, b: int) -> int:
         rest //= g
         K += 1
     return K
-
-
-# Cells per block of diagonals that `_digit_fracs` certifies together.
-_BLOCK_CELLS = 1 << 13
 
 
 def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:

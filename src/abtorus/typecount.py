@@ -120,6 +120,8 @@ def kt_bound(a: int, b: int, t: float) -> float:
     The admissible range is 0 < t < min{log b, (log a)^2 / log b}; NaN is
     outside it.  The formula tends to 1 as t tends to (log a)^2 / log b.
     """
+    if min(a, b) < 2:
+        raise ValueError("a, b must be >= 2")
     la, lb = math.log(a), math.log(b)
     upper = min(lb, la * la / lb)
     if not 0 < t < upper:
@@ -133,6 +135,8 @@ def kt_bound(a: int, b: int, t: float) -> float:
 
 def q_bound(a: int, t: float) -> float:
     """2t / (log a + t) for 0 < t < log a."""
+    if a < 2:
+        raise ValueError("a must be >= 2")
     la = math.log(a)
     if not 0 < t < la:
         raise ValueError(f"t={t} outside (0, log a = {la})")

@@ -288,6 +288,16 @@ def test_orbit_stdout_matches_per_cell_reference(capsys, monkeypatch, a, b, x, N
     assert capture(capsys, argv + ["--format", "csv"]) == (0, csv, "")
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 7])
+@pytest.mark.parametrize("x", ["1234567/2147483647", f"{10**17 + 3}/{2**61 - 1}"])
+def test_orbit_stdout_across_block_edges(capsys, monkeypatch, x, N):
+    """Blocks of three residue rows: N = R - 1, R, R + 1 and 2R + 1 on the int64 and object paths."""
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 3 * N)
+    want = orbit_reference(2, 3, x, N)
+    argv = ["orbit", "-a", "2", "-b", "3", "-x", x, "-N", str(N)]
+    assert capture(capsys, argv) == (0, json.dumps({"orbit": want, "seed": 0}) + "\n", "")
+
+
 def test_orbit_with_huge_multiplier_is_exact(capsys):
     a = 10**400
     code, out, err = capture(capsys, ["orbit", "-a", str(a), "-b", "3", "-x", "1/7", "-N", "3"])
@@ -343,6 +353,14 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
          "struct spec 'c' entry must be written without exponents"),
         (["moran-dim", "--struct", '{"n": [2], "c": ["1E-3"], "periodic": true}'],
          "struct spec 'c' entry must be written without exponents"),
+        (["kt-bound", "-a", "2", "-b", "1", "-t", "0.1"], "a, b must be >= 2"),
+        (["kt-bound", "-a", "0", "-b", "3", "-t", "0.1"], "a, b must be >= 2"),
+        (["kt-bound", "-a", "1", "-b", "3", "-t", "0.1"], "a, b must be >= 2"),
+        (["q-bound", "-a", "1", "-t", "0.1"], "a must be >= 2"),
+        (["q-bound", "-a", "0", "-t", "0.1"], "a must be >= 2"),
+        # orbit keeps every cell string, so it has a side limit below the kernel's
+        (["orbit", "-a", "2", "-b", "3", "-x", "1/5", "-N", "2049"],
+         "N = 2049 exceeds the orbit side limit 2048"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):

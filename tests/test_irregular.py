@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import (
+    DigitWord,
     TorusPoint,
     build_test_family,
     bump_function,
@@ -24,7 +25,15 @@ from abtorus import (
     point_of_word,
     synthesize_point,
 )
-from abtorus.irregular import SAMPLE_DEN, ScheduleError, TrigTestFunction, _bin_weights, _family_averages
+from abtorus.irregular import (
+    SAMPLE_DEN,
+    IrregularRecipe,
+    Schedule,
+    ScheduleError,
+    TrigTestFunction,
+    _bin_weights,
+    _family_averages,
+)
 
 GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 
@@ -143,6 +152,24 @@ def test_bin_weights_count_each_cell_once():
     fracs = np.array([[0.0, 0.5 / 4096], [1 / 4096, 0.999]])
     w = _bin_weights(fracs)
     assert w[0] == 0.5 and w[1] == 0.25 and w[int(0.999 * 4096)] == 0.25 and w.sum() == 1.0
+
+
+def test_membership_and_verify_read_one_orbit_grid(monkeypatch, fallbacks):
+    """One full orbit_fracs grid per membership_X call, fallback or not, and one per verify_irregular."""
+    sides = []
+
+    def counted(x, a, b, N):
+        sides.append(N)
+        return orbit_fracs(x, a, b, N)
+
+    monkeypatch.setattr(irregular, "orbit_fracs", counted)
+    assert membership_X(TorusPoint(123456789, SAMPLE_DEN), 2, 60, build_test_family(2), 2, 3)
+    assert membership_X(TorusPoint(795854012, SAMPLE_DEN), 1, 1, (TrigTestFunction(1, "cos", 0.03),), 2, 3)
+    assert len(fallbacks) == 1 and sides == [60, 1]
+    schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(12,))
+    recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
+    irregular.verify_irregular(DigitWord(6, tuple(range(6)) * 2), recipe, build_test_family(2))
+    assert sides == [60, 1, 12]
 
 
 def test_membership_rejects_bad_horizon():

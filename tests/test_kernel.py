@@ -1,6 +1,7 @@
 """Differential tests of the orbit-residue kernel and its consumers against exact references."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,11 @@ mults = st.one_of(st.integers(min_value=2, max_value=10**6), st.sampled_from([2*
 sides = st.integers(min_value=1, max_value=7)
 
 
+def residue_grid(x, a, b, N):
+    """The N x N residues, the row blocks of `orbit_residues` stacked."""
+    return np.vstack(list(orbit_residues(x, a, b, N)))
+
+
 def exact_residues(x, a, b, N):
     return [[pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den for n in range(N)] for m in range(N)]
 
@@ -35,7 +41,7 @@ def exact_residues(x, a, b, N):
 @settings(max_examples=200, deadline=None)
 @given(points, mults, mults, sides)
 def test_residues_and_fracs_match_exact(x, a, b, N):
-    rows = list(orbit_residues(x, a, b, N))
+    rows = residue_grid(x, a, b, N)
     exact = exact_residues(x, a, b, N)
     assert [row.tolist() for row in rows] == exact
     assert all(row.dtype == (np.int64 if x.den < 2**31 else object) for row in rows)
@@ -62,6 +68,83 @@ def test_bin_counts_match_fraction_reference(x, a, b, N, d):
         for r in row:
             ref[math.floor(Fraction(r, x.den) * d)] += 1
     assert _bin_counts(x, a, b, N, d).tolist() == ref
+
+
+# ---- row blocks of orbit_residues ------------------------------------------
+
+BLOCK_ROWS = 5
+# x = (den - 1)/den with a, b = -1 mod den: den = 2^31 - 1 forms the largest
+# int64 products (den - 1)^2 < 2^62, den = 2^31 is the first object-path
+# denominator, and multipliers >= den reduce before their first product.
+EDGE_CASES = [
+    (TorusPoint(2**31 - 2, 2**31 - 1), 2**31 - 2, 2**31 - 2),
+    (TorusPoint(2**31 - 2, 2**31 - 1), 2**31 + 6, 3 * 2**31 - 4),
+    (TorusPoint(2**31 - 1, 2**31), 2**31 - 1, 2**31 - 1),
+    (TorusPoint(2**31 - 1, 2**31), 2**31 + 3, 2**32 + 7),
+]
+
+
+def block_heights(N, R):
+    return [min(R, N - s) for s in range(0, N, R)]
+
+
+def assert_fracs_nearest(fracs, exact, den):
+    for m, row in enumerate(exact):
+        for n, r in enumerate(row):
+            f = float(fracs[m, n])
+            assert abs(Fraction(f) - Fraction(r, den)) <= Fraction(math.ulp(f)) / 2
+
+
+@pytest.mark.parametrize("N", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize("x, a, b", EDGE_CASES)
+def test_residue_blocks_at_block_edges(monkeypatch, x, a, b, N):
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", BLOCK_ROWS * N)  # blocks of BLOCK_ROWS rows
+    blocks = list(orbit_residues(x, a, b, N))
+    assert [len(blk) for blk in blocks] == block_heights(N, BLOCK_ROWS)
+    assert all(blk.shape[1] == N and blk.dtype == (np.int64 if x.den < 2**31 else object) for blk in blocks)
+    exact = exact_residues(x, a, b, N)
+    assert np.vstack(blocks).tolist() == exact
+    assert_fracs_nearest(orbit_fracs(x, a, b, N), exact, x.den)
+
+
+@pytest.mark.parametrize("N", [180, 181, 182, 363])
+def test_residue_blocks_at_the_block_constant(N):
+    """R = 2^15 // N rows: 182 > N at 180, exactly N at 181, and short last blocks at 182 and 363."""
+    x = TorusPoint(2**31 - 2, 2**31 - 1)
+    blocks = list(orbit_residues(x, 2**31 - 2, 3, N))
+    assert [len(blk) for blk in blocks] == block_heights(N, max(1, torus._BLOCK_CELLS // N))
+    assert np.vstack(blocks).tolist() == exact_residues(x, 2**31 - 2, 3, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points, mults, mults, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=40))
+def test_small_blocks_stack_to_the_exact_grid(x, a, b, N, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "_BLOCK_CELLS", cells)
+        blocks = list(orbit_residues(x, a, b, N))
+        fracs = orbit_fracs(x, a, b, N)
+        counts = _bin_counts(x, a, b, N, 7)
+        inside = _interval_membership(x, a, b, N, Fraction(1, 3), Fraction(5, 4))
+    assert [len(blk) for blk in blocks] == block_heights(N, max(1, cells // N))
+    exact = exact_residues(x, a, b, N)
+    assert np.vstack(blocks).tolist() == exact
+    assert_fracs_nearest(fracs, exact, x.den)
+    cells_exact = [Fraction(r, x.den) for row in exact for r in row]
+    assert counts.tolist() == [sum(math.floor(y * 7) == j for y in cells_exact) for j in range(7)]
+    assert inside.ravel().tolist() == [not Fraction(1, 4) <= y <= Fraction(1, 3) for y in cells_exact]
+
+
+def test_residue_blocks_keep_memory_small():
+    """Reading every block at the largest side holds a few blocks, not the 512 MiB int64 grid."""
+    x = TorusPoint(2**31 - 2, 2**31 - 1)
+    tracemalloc.start()
+    try:
+        for blk in orbit_residues(x, 2, 3, torus.MAX_SIDE):
+            assert len(blk) == torus._BLOCK_CELLS // torus.MAX_SIDE
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def reference_membership(y: Fraction, lo: Fraction, hi: Fraction) -> bool:
@@ -133,7 +216,7 @@ def check_against_residues(x, a, b, N):
     """Every cell equals row / den from orbit_residues and is within 1/2 ulp of r / den."""
     fracs = orbit_fracs(x, a, b, N)
     assert fracs.shape == (N, N) and fracs.dtype == np.float64
-    for m, row in enumerate(orbit_residues(x, a, b, N)):
+    for m, row in enumerate(residue_grid(x, a, b, N)):
         assert fracs[m].tolist() == (row / x.den).tolist()
         for n, r in enumerate(row.tolist()):
             f = float(fracs[m, n])
@@ -238,7 +321,7 @@ def test_digit_path_near_midpoints():
     for x in near_midpoints():
         assert _digit_length(x, 2, 3)
         assert orbit_fracs(x, 2, 3, 2).tolist() == [
-            [r / x.den for r in row.tolist()] for row in orbit_residues(x, 2, 3, 2)
+            [r / x.den for r in row.tolist()] for row in residue_grid(x, 2, 3, 2)
         ]
 
 
