@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, orbit_fracs, orbit_residues
+from .torus import TorusPoint, _running_products, orbit_fracs, orbit_residues
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
@@ -113,7 +113,8 @@ def invariance_defect(
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
     c, o = (a, b) if map_choice == "a" else (b, a)
-    first = next(orbit_residues(x, c, o, N))[0]
+    orbit_residues(x, c, o, N)  # checks a, b and N; row 0 of its grid is the o-orbit of x
+    first = np.array(_running_products(x.num, o, x.den, N), dtype=np.int64 if x.den < 2**31 else object)
     rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
     last, plain = np.exp(1j * k * (tau * rows.astype(float))).sum(axis=1)
     return abs(last - plain) / N**2

@@ -236,6 +236,8 @@ def box_counting_estimate(intervals: Realization, scales: list[Fraction]) -> flo
         shared = int(np.count_nonzero(first[1:] == last[:-1]))  # only end boxes; int: counts pass 2^63
         xs.append(-_log_fraction(eps))
         ys.append(math.log((last - first + 1).sum() - shared))
+    if len(set(xs)) < 2:  # distinct scales within an ulp of each other share one float log
+        raise ValueError("degenerate regression: scales with equal float logarithms")
     x_bar = sum(xs) / len(xs)
     y_bar = sum(ys) / len(ys)
     sxx = sum((x - x_bar) ** 2 for x in xs)

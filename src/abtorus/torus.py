@@ -5,10 +5,11 @@ base-(a*b) digit words code points via the uniform Markov partition.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -80,9 +81,57 @@ def mult_indep_check(a: int, b: int) -> bool:
 
 # Cells per block of the orbit kernel: about 2^15 int64 cells (256 KiB), so a
 # block and its temporaries stay in cache.  `orbit_residues` yields blocks of
-# max(1, _BLOCK_CELLS // N) rows; `_digit_fracs` certifies diagonals in
-# blocks of the same size.
+# `_block_rows(N)` rows; `_digit_fracs` certifies diagonals in blocks of the
+# same size.
 _BLOCK_CELLS = 1 << 15
+
+
+def _block_rows(N: int) -> int:
+    """Rows of one kernel block of an N-wide grid."""
+    return max(1, _BLOCK_CELLS // N)
+
+
+# Threads of the N^2 kernels: every CPU this process may run on.  The pool of
+# the _THREADS - 1 helpers is made by the first `_spread` that needs it.
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+
+
+def _drop_pool() -> None:
+    """A forked child has none of its parent's threads: it makes its own pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _spread(task: Callable[[int, int], object], N: int, R: int) -> list:
+    """[task(s, e) for each span], over at most _THREADS contiguous spans [s, e) of range(N).
+
+    Each span starts at a multiple of R, so it holds whole R-row blocks (the
+    last may be shorter), and there are no more spans than blocks.  The
+    calling thread runs the first span and the pool the others.  A task
+    must call no public function: perfbench's tracer wraps those, and its
+    span stack belongs to the calling thread.
+    """
+    blocks = -(-N // R)
+    n = min(_THREADS, blocks)
+    cuts = [R * (blocks * i // n) for i in range(n)] + [N]
+    if n == 1:
+        return [task(0, N)]
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_THREADS - 1)
+    futures = [_pool.submit(task, s, e) for s, e in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = task(cuts[0], cuts[1])
+    finally:
+        rest = [f.result() for f in futures]
+    return [first, *rest]
 
 
 def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
@@ -112,18 +161,29 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
 
 
 def _residue_blocks(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
-    den, R = x.den, max(1, _BLOCK_CELLS // N)
+    den, R = x.den, _block_rows(N)
     if den < 2**31:
-        acol = np.array(_running_products(1, a, den, N), dtype=np.int64)
-        bcol = np.array(_running_products(x.num, b, den, N), dtype=np.int64)
-        for s in range(0, N, R):
-            blk = acol[s : s + R, None] * bcol
-            blk -= blk // den * den  # a floor-divide by a scalar is faster than %
-            yield blk
+        yield from _int64_blocks(*_int64_columns(x, a, b, N), den, 0, N, R)
         return
     starts = _running_products(x.num, a, den, N)
     for s in range(0, N, R):
         yield np.array([_running_products(z, b, den, N) for z in starts[s : s + R]], dtype=object)
+
+
+def _int64_columns(x: TorusPoint, a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^m mod den and b^n num mod den for m, n < N, as int64 (den < 2^31)."""
+    return (
+        np.array(_running_products(1, a, x.den, N), dtype=np.int64),
+        np.array(_running_products(x.num, b, x.den, N), dtype=np.int64),
+    )
+
+
+def _int64_blocks(acol: np.ndarray, bcol: np.ndarray, den: int, s: int, e: int, R: int) -> Iterator[np.ndarray]:
+    """Residue rows s .. e-1 of the int64 grid, in blocks of up to R rows."""
+    for t in range(s, e, R):
+        blk = acol[t : min(t + R, e), None] * bcol
+        blk -= blk // den * den  # a floor-divide by a scalar is faster than %
+        yield blk
 
 
 def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
@@ -156,13 +216,27 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
     - any other den >= 2^31: the big-integer blocks of `orbit_residues`.
 
     Each cell is the double nearest the exact point, so the paths agree.
-    The residue paths divide one block of rows at a time.
+    The residue paths divide one block of rows at a time.  On the int64
+    path each thread of `_spread` owns a contiguous span of whole blocks:
+    it builds their residues and divides them straight into its rows of
+    the grid.  The big-integer path holds the interpreter lock and runs on
+    the calling thread.  Every cell is computed alone, so the grid is the
+    same at any thread count.
     """
     blocks = orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
     K = _digit_length(x, a, b)
     if K:
         return _digit_fracs(x, a, b, N, K)
     out = np.empty((N, N))
+    if x.den < 2**31:
+        cols, R = _int64_columns(x, a, b, N), _block_rows(N)
+
+        def fill(s: int, e: int) -> None:
+            for t, blk in zip(range(s, e, R), _int64_blocks(*cols, x.den, s, e, R)):
+                np.divide(blk, x.den, out=out[t : t + len(blk)])
+
+        _spread(fill, N, R)
+        return out
     m = 0
     for blk in blocks:
         out[m : m + len(blk)] = blk / x.den
@@ -192,8 +266,12 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     c = a (m >= n) or b (m < n), so diagonal j is the digit state of c^j x
     read from digit s on, and cells with s >= K are 0.  Times a is the
     local rule d_i <- a (d_i mod b) + d_{i+1} // b, which never carries
-    further and keeps K digits; times b swaps a and b.  Cells that
-    `_window_fracs` cannot certify are recomputed exactly.
+    further and keeps K digits; times b swaps a and b.  The automaton
+    below the diagonal (with the diagonal) and the one above it run as
+    two `_spread` tasks, each writing only its own cells; cells that
+    `_window_fracs` cannot certify are merged from both and recomputed
+    exactly on the calling thread, so the grid is the same at any thread
+    count.
     """
     ab = a * b
     W = 1
@@ -203,32 +281,37 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     digits[:K] = digits_of(x, ab, K).digits
     out = np.zeros((N, N))
     flat = out.reshape(-1)
-    fallback = []
-    for c, other, below in ((a, b, True), (b, a, False)):
-        j = 0 if below else 1  # the main diagonal is read once
-        state = digits if below else _times(digits, c, other)
-        while j < N:
-            S = min(K, N - j)
-            rows = max(1, min(N - j, _BLOCK_CELLS // (S + 2 * W)))
-            block = np.empty((rows, S + 2 * W), dtype=np.int64)
-            last = np.empty(rows, dtype=np.int64)
-            for i in range(rows):
-                block[i] = state[: S + 2 * W]
-                nonzero = np.flatnonzero(state)
-                last[i] = nonzero[-1] if nonzero.size else -1
-                state = _times(state, c, other)
-            vals, ok = _window_fracs(block, last, S, ab, W)
-            for i in range(rows):
-                d = j + i
-                diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
-                diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
-            for i, s in zip(*np.nonzero(~ok)):
-                d, s = j + int(i), int(s)
-                if s < N - d:
-                    fallback.append((s + d, s) if below else (s, s + d))
-            j += rows
-    for m, n in fallback:
-        out[m, n] = pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den / x.den
+
+    def automata(first: int, stop: int) -> list[tuple[int, int]]:
+        fallback = []
+        for c, other, below in ((a, b, True), (b, a, False))[first:stop]:
+            j = 0 if below else 1  # the main diagonal is read once
+            state = digits if below else _times(digits, c, other)
+            while j < N:
+                S = min(K, N - j)
+                rows = max(1, min(N - j, _BLOCK_CELLS // (S + 2 * W)))
+                block = np.empty((rows, S + 2 * W), dtype=np.int64)
+                last = np.empty(rows, dtype=np.int64)
+                for i in range(rows):
+                    block[i] = state[: S + 2 * W]
+                    nonzero = np.flatnonzero(state)
+                    last[i] = nonzero[-1] if nonzero.size else -1
+                    state = _times(state, c, other)
+                vals, ok = _window_fracs(block, last, S, ab, W)
+                for i in range(rows):
+                    d = j + i
+                    diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
+                    diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
+                for i, s in zip(*np.nonzero(~ok)):
+                    d, s = j + int(i), int(s)
+                    if s < N - d:
+                        fallback.append((s + d, s) if below else (s, s + d))
+                j += rows
+        return fallback
+
+    for part in _spread(automata, 2, 1):
+        for m, n in part:
+            out[m, n] = pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den / x.den
     return out
 
 

@@ -13,9 +13,11 @@ from abtorus import (
     fourier_average,
     invariance_defect,
     orbit_fracs,
+    orbit_residues,
     point_of_word,
     semiequidist_profile,
 )
+from abtorus.torus import _running_products
 from words import random_word
 
 
@@ -100,6 +102,17 @@ def test_invariance_defect_matches_full_grid(x, map_choice, N, k):
     # int64, digit-automaton and big-integer points; the two rows against the whole grid
     got = invariance_defect(x, 2, 3, N, k, map_choice)
     assert abs(got - reference_invariance_defect(x, 2, 3, N, k, map_choice)) < 1e-12
+
+
+@pytest.mark.parametrize("x", [TorusPoint(2**31 - 2, 2**31 - 1), TorusPoint(5, 7**20)])
+@pytest.mark.parametrize("c, o", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("N", [1, 33, 1000])
+def test_invariance_row_is_row_zero_of_the_first_block(x, c, o, N):
+    # the row invariance_defect reads without building a block, on the int64 and big-integer paths
+    row = _running_products(x.num, o, x.den, N)
+    block_row = next(orbit_residues(x, c, o, N))[0]
+    assert block_row.dtype == (np.int64 if x.den < 2**31 else object)
+    assert row == block_row.tolist()
 
 
 def test_semiequidist_stuck_orbit():
