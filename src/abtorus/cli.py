@@ -40,7 +40,19 @@ def _emit(args, payload: dict, csv_lines: list[str] | None = None) -> None:
 
 
 def _horizons(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    """The --horizons integers; a bad list is a one-line error naming the flag."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--horizons value {text!r} is not a comma-separated list of integers") from None
+
+
+def _point(text: str) -> torus.TorusPoint:
+    """The -x point p/q or p; a bad one is a one-line error naming the flag."""
+    try:
+        return torus.TorusPoint.parse(text)
+    except ValueError:
+        raise ValueError(f"-x value {text!r} is not p or p/q with integers p and q != 0") from None
 
 
 def _fraction(flag: str, text: str) -> Fraction:
@@ -98,7 +110,7 @@ def _orbit(args):
     if args.N > ORBIT_SIDE:
         raise ValueError(f"N = {args.N} exceeds the orbit side limit {ORBIT_SIDE}")
     _warn_dependent(args.a, args.b)
-    x = torus.TorusPoint.parse(args.x)
+    x = _point(args.x)
     cells = []
     for blk in torus.orbit_residues(x, args.a, args.b, args.N):
         g = np.gcd(blk, x.den)  # each cell r/den in lowest terms, as TorusPoint would print it
@@ -109,7 +121,7 @@ def _orbit(args):
 
 def _empirical(args):
     _warn_dependent(args.a, args.b)
-    x = torus.TorusPoint.parse(args.x)
+    x = _point(args.x)
     mu = measures.empirical_measure(x, args.a, args.b, args.N, args.d, args.K)
     payload = {
         "d": mu.d,
@@ -125,7 +137,7 @@ def _empirical(args):
 
 
 def _fourier(args):
-    x = torus.TorusPoint.parse(args.x)
+    x = _point(args.x)
     c = measures.fourier_average(x, args.a, args.b, args.N, args.K)
     _emit(args, {"k": args.K, "real": repr(c.real), "imag": repr(c.imag)})
 
@@ -180,7 +192,7 @@ def _growth(args):
 
 
 def _itinerary(args):
-    x = torus.TorusPoint.parse(args.x)
+    x = _point(args.x)
     rec = typecount.itinerary_choices(x, args.a, args.d, args.M, args.N)
     _emit(
         args,
@@ -202,7 +214,7 @@ def _q_bound(args):
 
 def _equidist(args):
     _warn_dependent(args.a, args.b)
-    x = torus.TorusPoint.parse(args.x)
+    x = _point(args.x)
     if args.U.count(",") != 1:
         raise ValueError(f"-U takes two values lo,hi, not {args.U!r}")
     lo, hi = (_fraction("-U", v) for v in args.U.split(","))

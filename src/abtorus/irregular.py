@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .moran import MoranStructure
-from .torus import DigitWord, TorusPoint, _block_rows, _spread, digits_of, orbit_fracs, point_of_word
+from .torus import DigitWord, TorusPoint, _block_rows, _Counts, _spread, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
@@ -143,19 +143,14 @@ _CENTERS = (np.arange(_BINS) + 0.5) / _BINS
 def _bin_weights(fracs: np.ndarray) -> np.ndarray:
     """Share of the cells in each bin [j, j+1) / _BINS; a cell equal to 1.0 joins the last.
 
-    Rows are read in the kernel's blocks, so no N x N temporary is made.
-    Each thread of `_spread` counts its own span of blocks and the integer
-    counts are summed, so the weights are the same at any thread count.
+    Rows are counted in the kernel's blocks of `_spread`, so no N x N
+    temporary is made.
     """
-    R = _block_rows(fracs.shape[1])
-
-    def count(s: int, e: int) -> np.ndarray:
-        chunks = (fracs[t : t + R] * _BINS for t in range(s, e, R))
-        return sum(np.bincount(c.astype(np.intp).ravel(), minlength=_BINS + 1) for c in chunks)
-
-    counts = sum(_spread(count, len(fracs), R))
-    counts[_BINS - 1] += counts[_BINS]
-    return counts[:_BINS] / fracs.size
+    counts = _Counts(_BINS + 1)
+    _spread(lambda s, e: counts.add(fracs[s:e] * _BINS), len(fracs), _block_rows(fracs.shape[1]))
+    total = counts.total
+    total[_BINS - 1] += total[_BINS]
+    return total[:_BINS] / fracs.size
 
 
 def membership_X(

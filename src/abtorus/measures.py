@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _running_products, orbit_fracs, orbit_residues
+from .torus import TorusPoint, _Counts, _map_rows, _residue_rows, orbit_fracs, orbit_residues
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
@@ -55,8 +55,9 @@ class SemiEquidistReport:
 
 def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
     """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin floor(r*d/den)."""
-    blocks = orbit_residues(x, a, b, N)
-    return sum(np.bincount((blk * d // x.den).astype(np.intp).ravel(), minlength=d) for blk in blocks)
+    counts = _Counts(d)
+    _map_rows(x, a, b, N, lambda s, blk: counts.add(blk * d // x.den))
+    return counts.total
 
 
 def empirical_measure(
@@ -113,8 +114,8 @@ def invariance_defect(
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
     c, o = (a, b) if map_choice == "a" else (b, a)
-    orbit_residues(x, c, o, N)  # checks a, b and N; row 0 of its grid is the o-orbit of x
-    first = np.array(_running_products(x.num, o, x.den, N), dtype=np.int64 if x.den < 2**31 else object)
+    orbit_residues(x, c, o, N)  # checks a, b and N
+    first = _residue_rows(x, c, o, N)(0, 1)[0]  # row 0 of the grid: the o-orbit of x
     rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
     last, plain = np.exp(1j * k * (tau * rows.astype(float))).sum(axis=1)
     return abs(last - plain) / N**2
@@ -129,7 +130,7 @@ def _interval_membership(
     the interval iff floor(lo' den) < r < ceil(hi' den) or, wrapping past 1,
     r < ceil(hi' den) - den.
     """
-    blocks = orbit_residues(x, a, b, N)  # checks N before any grid is allocated
+    orbit_residues(x, a, b, N)  # checks N before any grid is allocated
     if hi - lo >= 1:
         return np.ones((N, N), dtype=bool)
     lo_mod = lo % 1
@@ -137,10 +138,11 @@ def _interval_membership(
     lo_end = lo_mod.numerator * x.den // lo_mod.denominator
     hi_end = -(-hi_mod.numerator * x.den // hi_mod.denominator)
     out = np.empty((N, N), dtype=bool)
-    m = 0
-    for r in blocks:
-        out[m : m + len(r)] = (r > lo_end) & (r < hi_end) | (r < hi_end - x.den)
-        m += len(r)
+
+    def member(s: int, r: np.ndarray) -> None:
+        out[s : s + len(r)] = (r > lo_end) & (r < hi_end) | (r < hi_end - x.den)
+
+    _map_rows(x, a, b, N, member)
     return out
 
 

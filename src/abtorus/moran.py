@@ -31,7 +31,8 @@ def _fields(pairs: list[tuple[str, object]], keys: tuple[str, ...]) -> dict:
     return dict(pairs)
 
 
-def _entry(spec: dict, key: str) -> list:
+def _entry(spec: dict, key: str, kind: type) -> list:
+    """The checked list of numbers at `key`, its strings parsed by `kind`."""
     if key not in spec:
         raise ValueError(f"struct spec has no {key!r} entry")
     val = spec[key]
@@ -41,7 +42,10 @@ def _entry(spec: dict, key: str) -> list:
         raise ValueError(f"struct spec {key!r} entry must be finite")
     if any("e" in v.lower() for v in val if isinstance(v, str)):  # 1e-300000 would build a huge integer
         raise ValueError(f"struct spec {key!r} entry must be written without exponents")
-    return val
+    try:
+        return [kind(v) if isinstance(v, str) else v for v in val]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"struct spec {key!r} entry must be a list of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,8 @@ class MoranStructure:
         if text.startswith("{"):
             obj = _fields(json.loads(text, object_pairs_hook=list), ("n", "c", "periodic", "preamble"))
             return cls(
-                counts=tuple(_entry(obj, "n")),
-                ratios=tuple(Fraction(c) for c in _entry(obj, "c")),
+                counts=tuple(_entry(obj, "n", int)),
+                ratios=tuple(_entry(obj, "c", Fraction)),
                 periodic=obj.get("periodic", False),
                 preamble=obj.get("preamble", 0),
             )
@@ -110,8 +114,8 @@ class MoranStructure:
             key, _, val = part.partition("=")
             pairs.append((key.strip(), [v.strip() for v in val.split(",")]))
         fields = _fields(pairs, ("n", "c"))
-        counts = [int(n) for n in _entry(fields, "n")]
-        ratios = [Fraction(c) for c in _entry(fields, "c")]
+        counts = _entry(fields, "n", int)
+        ratios = _entry(fields, "c", Fraction)
         if periodic:
             # cycle the shorter list up to a common length
             m = math.lcm(len(counts), len(ratios))

@@ -6,6 +6,7 @@ base-(a*b) digit words code points via the uniform Markov partition.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -80,7 +81,7 @@ def mult_indep_check(a: int, b: int) -> bool:
 
 
 # Cells per block of the orbit kernel: about 2^15 int64 cells (256 KiB), so a
-# block and its temporaries stay in cache.  `orbit_residues` yields blocks of
+# block and its temporaries stay in cache.  Residue blocks have
 # `_block_rows(N)` rows; `_digit_fracs` certifies diagonals in blocks of the
 # same size.
 _BLOCK_CELLS = 1 << 15
@@ -108,82 +109,70 @@ if hasattr(os, "register_at_fork"):
 
 
 def _spread(task: Callable[[int, int], object], N: int, R: int) -> list:
-    """[task(s, e) for each span], over at most _THREADS contiguous spans [s, e) of range(N).
+    """[task(s, e) for the blocks [s, e) = [s, min(s + R, N)) of range(N)], in row order.
 
-    Each span starts at a multiple of R, so it holds whole R-row blocks (the
-    last may be shorter), and there are no more spans than blocks.  The
-    calling thread runs the first span and the pool the others.  A task
-    must call no public function: perfbench's tracer wraps those, and its
-    span stack belongs to the calling thread.
+    At most _THREADS threads run the blocks, each a contiguous run of them,
+    the calling thread the first.  A task must call no public function:
+    perfbench's tracer wraps those, and its span stack belongs to the
+    calling thread.  Each N^2 kernel makes every cell, or integer count,
+    from its own block alone, so it gives the same result at any thread count.
     """
     blocks = -(-N // R)
     n = min(_THREADS, blocks)
     cuts = [R * (blocks * i // n) for i in range(n)] + [N]
+
+    def run(s: int, e: int) -> list:
+        return [task(t, min(t + R, e)) for t in range(s, e, R)]
+
     if n == 1:
-        return [task(0, N)]
+        return run(0, N)
     global _pool
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(_THREADS - 1)
-    futures = [_pool.submit(task, s, e) for s, e in zip(cuts[1:-1], cuts[2:])]
+    futures = [_pool.submit(run, s, e) for s, e in zip(cuts[1:-1], cuts[2:])]
     try:
-        first = task(cuts[0], cuts[1])
+        first = run(cuts[0], cuts[1])
     finally:
         rest = [f.result() for f in futures]
-    return [first, *rest]
+    return [r for part in (first, *rest) for r in part]
 
 
-def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
-    """Exact residues r[m, n] = a^m b^n num mod den of x = num/den, in blocks of rows.
+class _Counts:
+    """Integer bin counts that `_spread` tasks add to under a lock as each block is counted."""
 
-    This is the one exact orbit kernel; its path depends only on the
-    denominator.  It yields 2-D arrays of consecutive rows, max(1,
-    _BLOCK_CELLS // N) rows each (the last may be shorter), which stack to
-    the N x N grid; reading them holds a few blocks, whatever N.  Every
-    power comes from a running product z -> z * c % den.  For den < 2^31
-    a block is the int64 outer product acol[rows] * bcol, reduced exactly
-    as p - p // den * den: the products stay below 2^62.  Larger
-    denominators give object arrays of Python ints.  The float grid
-    `orbit_fracs` reads r / den (correctly rounded) off these blocks,
-    except when den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, where its
-    digit automaton gives the same doubles without residues.  a, b < 2 and
-    N outside 1..MAX_SIDE are rejected at the call; no residue is computed
-    until the first block is read.
+    def __init__(self, bins: int):
+        self.total = np.zeros(bins, dtype=np.intp)
+        self._lock = threading.Lock()
+
+    def add(self, index: np.ndarray) -> None:
+        block = np.bincount(index.astype(np.intp).ravel(), minlength=len(self.total))
+        with self._lock:
+            self.total += block
+
+
+def _residue_rows(x: TorusPoint, a: int, b: int, N: int) -> Callable[[int, int], np.ndarray]:
+    """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues`.
+
+    The columns a^m num and b^n mod den are built once, each power a running
+    product z -> z * c % den.  An int64 block is their outer product, reduced
+    exactly as p - p // den * den: the products stay below 2^62.  An object
+    row is a running product of b, faster than a Python-int outer product.
     """
-    if min(a, b) < 2:
-        raise ValueError("a, b must be >= 2")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > MAX_SIDE:
-        raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
-    return _residue_blocks(x, a, b, N)
-
-
-def _residue_blocks(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
-    den, R = x.den, _block_rows(N)
+    den = x.den
+    acol = _running_products(x.num, a, den, N)
     if den < 2**31:
-        yield from _int64_blocks(*_int64_columns(x, a, b, N), den, 0, N, R)
-        return
-    starts = _running_products(x.num, a, den, N)
-    for s in range(0, N, R):
-        yield np.array([_running_products(z, b, den, N) for z in starts[s : s + R]], dtype=object)
+        acol = np.array(acol, dtype=np.int64)
+        bcol = np.array(_running_products(1, b, den, N), dtype=np.int64)
 
+        def rows(s: int, e: int) -> np.ndarray:
+            blk = acol[s:e, None] * bcol
+            blk -= blk // den * den  # a floor-divide by a scalar is faster than %
+            return blk
 
-def _int64_columns(x: TorusPoint, a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """a^m mod den and b^n num mod den for m, n < N, as int64 (den < 2^31)."""
-    return (
-        np.array(_running_products(1, a, x.den, N), dtype=np.int64),
-        np.array(_running_products(x.num, b, x.den, N), dtype=np.int64),
-    )
-
-
-def _int64_blocks(acol: np.ndarray, bcol: np.ndarray, den: int, s: int, e: int, R: int) -> Iterator[np.ndarray]:
-    """Residue rows s .. e-1 of the int64 grid, in blocks of up to R rows."""
-    for t in range(s, e, R):
-        blk = acol[t : min(t + R, e), None] * bcol
-        blk -= blk // den * den  # a floor-divide by a scalar is faster than %
-        yield blk
+        return rows
+    return lambda s, e: np.array([_running_products(z, b, den, N) for z in acol[s:e]], dtype=object)
 
 
 def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
@@ -193,6 +182,39 @@ def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
         out.append(z)
         z = z * c % den
     return out
+
+
+def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray]:
+    """Exact residues r[m, n] = a^m b^n num mod den of x = num/den, in blocks of rows.
+
+    The one exact orbit kernel: int64 blocks for den < 2^31, object blocks of
+    Python ints otherwise.  It yields 2-D arrays of consecutive rows,
+    max(1, _BLOCK_CELLS // N) rows each (the last may be shorter), which
+    stack to the N x N grid, on the calling thread; the library's N^2
+    consumers read the same blocks on threads through `_map_rows`.  a, b < 2
+    and N outside 1..MAX_SIDE are rejected at the call; no residue is
+    computed until the first block is read.
+    """
+    if min(a, b) < 2:
+        raise ValueError("a, b must be >= 2")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N > MAX_SIDE:
+        raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
+
+    def blocks() -> Iterator[np.ndarray]:
+        rows, R = _residue_rows(x, a, b, N), _block_rows(N)
+        for s in range(0, N, R):
+            yield rows(s, min(s + R, N))
+
+    return blocks()
+
+
+def _map_rows(x: TorusPoint, a: int, b: int, N: int, task: Callable[[int, np.ndarray], object]) -> list:
+    """[task(s, residue rows s .. e-1)] over the blocks [s, e) of `_spread`, after `orbit_residues`' checks."""
+    orbit_residues(x, a, b, N)
+    rows = _residue_rows(x, a, b, N)
+    return _spread(lambda s, e: task(s, rows(s, e)), N, _block_rows(N))
 
 
 def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
@@ -208,39 +230,18 @@ def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
     """Float values r / den of the N x N orbit grid, correctly rounded (within 1/2 ulp).
 
-    One of three row builders runs, chosen from x, a and b alone:
-
-    - den < 2^31: the int64 blocks of `orbit_residues`, each cell r / den;
-    - den >= 2^31 dividing (ab)^K, with (ab)^2 <= 2^53: the base-ab digit
-      automaton of `_digit_fracs`, with no big-integer arithmetic;
-    - any other den >= 2^31: the big-integer blocks of `orbit_residues`.
-
-    Each cell is the double nearest the exact point, so the paths agree.
-    The residue paths divide one block of rows at a time.  On the int64
-    path each thread of `_spread` owns a contiguous span of whole blocks:
-    it builds their residues and divides them straight into its rows of
-    the grid.  The big-integer path holds the interpreter lock and runs on
-    the calling thread.  Every cell is computed alone, so the grid is the
-    same at any thread count.
+    When den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, the base-ab digit
+    automaton of `_digit_fracs` gives the grid with no big-integer
+    arithmetic.  Otherwise each block of `_map_rows`, int64 or object, is
+    divided by den straight into its rows of the grid.  Each cell is the
+    double nearest the exact point, so the paths agree.
     """
-    blocks = orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
+    orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
     K = _digit_length(x, a, b)
     if K:
         return _digit_fracs(x, a, b, N, K)
     out = np.empty((N, N))
-    if x.den < 2**31:
-        cols, R = _int64_columns(x, a, b, N), _block_rows(N)
-
-        def fill(s: int, e: int) -> None:
-            for t, blk in zip(range(s, e, R), _int64_blocks(*cols, x.den, s, e, R)):
-                np.divide(blk, x.den, out=out[t : t + len(blk)])
-
-        _spread(fill, N, R)
-        return out
-    m = 0
-    for blk in blocks:
-        out[m : m + len(blk)] = blk / x.den
-        m += len(blk)
+    _map_rows(x, a, b, N, lambda s, blk: np.divide(blk, x.den, out=out[s : s + len(blk)], casting="unsafe"))
     return out
 
 

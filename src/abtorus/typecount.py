@@ -15,6 +15,9 @@ from .torus import TorusPoint, _running_products
 
 ENTROPY_TOL = 1e-12  # documented tie tolerance for threshold comparisons
 MAX_PARTS = 500  # cap on min(k, N): count_R's walk recurses once per part; Python allows 1000 frames
+# Cap on the (M + 1) d^M Fractions of an itinerary record (q and M decimated
+# distributions); d = 2, M = 15 holds 2^19 and runs in about a second.
+MAX_CHOICES = 1 << 20
 
 
 def entropy(p) -> float:
@@ -101,6 +104,13 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
         raise ValueError("need d >= 1, M >= 1, N >= M")
     if a < 2:
         raise ValueError("a must be >= 2")
+    size = M + 1  # (M + 1) d^M without forming d^M: that many factors d >= 2 pass the limit
+    for _ in range(min(M, MAX_CHOICES.bit_length())):
+        if size > MAX_CHOICES:
+            break
+        size *= d
+    if size > MAX_CHOICES:
+        raise ValueError(f"(M + 1) * d^M exceeds the limit {MAX_CHOICES} at -d {d} -M {M}")
     cyl = [r * d // x.den for r in _running_products(x.num, a, x.den, N + M - 1)]  # floor(d a^n x)
     k_M = d**M
     indices = []

@@ -274,6 +274,7 @@ def orbit_reference(a: int, b: int, x: str, N: int) -> list[list[str]]:
         (2, 3, f"1/{6**13}", 9),  # den >= 2^31 dividing 6^13
         (2, 3, f"{10**17 + 3}/{2**61 - 1}", 9),  # den = 2^61 - 1: object rows
         (2, 3, "0", 4),
+        (2, 3, "1/-3", 4),  # a negative denominator, as TorusPoint.parse takes it
     ],
 )
 def test_orbit_stdout_matches_per_cell_reference(capsys, monkeypatch, a, b, x, N):
@@ -361,6 +362,31 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         # orbit keeps every cell string, so it has a side limit below the kernel's
         (["orbit", "-a", "2", "-b", "3", "-x", "1/5", "-N", "2049"],
          "N = 2049 exceeds the orbit side limit 2048"),
+        # the itinerary record holds (M + 1) d^M Fractions; -d 64 -M 3 is exactly 2^20
+        (["itinerary", "-a", "2", "-x", "1/7", "-d", "10", "-M", "30", "-N", "40"],
+         "(M + 1) * d^M exceeds the limit 1048576 at -d 10 -M 30"),
+        (["itinerary", "-a", "2", "-x", "1/7", "-d", "65", "-M", "3", "-N", "5"],
+         "(M + 1) * d^M exceeds the limit 1048576 at -d 65 -M 3"),
+        (["itinerary", "-a", "2", "-x", "1/7", "-d", "2", "-M", "16", "-N", "20"],
+         "(M + 1) * d^M exceeds the limit 1048576 at -d 2 -M 16"),
+        (["itinerary", "-a", "2", "-x", "1/7", "-d", "2", "-M", "1000000000", "-N", "1000000000"],
+         "(M + 1) * d^M exceeds the limit 1048576 at -d 2 -M 1000000000"),
+        # parse errors name their flag
+        (["orbit", "-a", "2", "-b", "3", "-x", "junk", "-N", "2"],
+         "-x value 'junk' is not p or p/q with integers p and q != 0"),
+        (["fourier", "-a", "2", "-b", "3", "-x", "1/0", "-N", "2", "-K", "1"],
+         "-x value '1/0' is not p or p/q with integers p and q != 0"),
+        (["itinerary", "-a", "2", "-x", "1/2/3", "-d", "2", "-M", "2", "-N", "4"],
+         "-x value '1/2/3' is not p or p/q with integers p and q != 0"),
+        (["growth", "-K", "2", "-t", "0.5", "--horizons", "3,a"], "--horizons value '3,a' is not a comma-separated list of integers"),
+        (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "0,1/2", "--horizons", "5,,6"],
+         "--horizons value '5,,6' is not a comma-separated list of integers"),
+        (["moran-dim", "--struct", "n=a;c=1/2"], "struct spec 'n' entry must be a list of numbers"),
+        (["moran-dim", "--struct", "n=2;c=1/0 periodic"], "struct spec 'c' entry must be a list of numbers"),
+        (["box-dim", "--struct", "n=2;c=x", "--depth", "2", "--scales", "1/3"],
+         "struct spec 'c' entry must be a list of numbers"),
+        (["moran-dim", "--struct", '{"n": ["a"], "c": ["1/2"]}'], "struct spec 'n' entry must be a list of numbers"),
+        (["moran-dim", "--struct", '{"n": [2], "c": ["1/0"]}'], "struct spec 'c' entry must be a list of numbers"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):

@@ -134,6 +134,25 @@ def test_small_blocks_stack_to_the_exact_grid(x, a, b, N, cells):
     assert inside.ravel().tolist() == [not Fraction(1, 4) <= y <= Fraction(1, 3) for y in cells_exact]
 
 
+@settings(max_examples=200, deadline=None)
+@given(points, mults, mults, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=40), st.data())
+def test_builder_rows_are_the_exact_rows_of_any_span(x, a, b, N, cells, data):
+    """Rows [s, e) of the one residue builder, and the blocks `_map_rows` hands out, are rows of the pow grid."""
+    s = data.draw(st.integers(0, N - 1))
+    e = data.draw(st.integers(s + 1, N))
+    exact = exact_residues(x, a, b, N)
+    span = torus._residue_rows(x, a, b, N)(s, e)
+    assert span.dtype == (np.int64 if x.den < 2**31 else object)
+    assert span.tolist() == exact[s:e]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "_BLOCK_CELLS", cells)
+        got = torus._map_rows(x, a, b, N, lambda t, blk: (t, blk))
+    R = max(1, cells // N)
+    assert [t for t, _ in got] == list(range(0, N, R))
+    assert [len(blk) for _, blk in got] == block_heights(N, R)
+    assert np.vstack([blk for _, blk in got]).tolist() == exact
+
+
 def test_residue_blocks_keep_memory_small():
     """Reading every block at the largest side holds a few blocks, not the 512 MiB int64 grid."""
     x = TorusPoint(2**31 - 2, 2**31 - 1)

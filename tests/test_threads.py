@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import TorusPoint, build_test_family, irregular, orbit_fracs, point_of_word, torus
+from abtorus import TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
 from abtorus.irregular import SAMPLE_DEN, IrregularRecipe, Schedule, _bin_weights
+from abtorus.measures import _bin_counts, _interval_membership
 from words import random_word
 
 BLOCK_ROWS = 2
@@ -40,12 +42,18 @@ def fresh_pool(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 60), st.integers(1, 12))
 def test_spans_cover_the_rows_once_at_block_starts(threads, N, R):
+    """_spread hands each R-row block to the task once, in row order, on at most min(_THREADS, blocks) threads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torus, "_THREADS", threads)
-        got = torus._spread(lambda s, e: (s, e), N, R)
-    assert [r for s, e in got for r in range(s, e)] == list(range(N))
-    assert all(s % R == 0 and s < e for s, e in got)
-    assert len(got) == min(threads, -(-N // R))
+        mp.setattr(torus, "_pool", None)
+        try:
+            got = torus._spread(lambda s, e: (s, e, threading.get_ident()), N, R)
+        finally:
+            if torus._pool is not None:
+                torus._pool.shutdown()
+    assert all(s % R == 0 and s < e <= s + R for s, e, _ in got)
+    assert [r for s, e, _ in got for r in range(s, e)] == list(range(N))
+    assert len({ident for _, _, ident in got}) <= min(threads, -(-N // R))
 
 
 @pytest.mark.parametrize("path", POINTS)
@@ -61,9 +69,12 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
     for t in (1, threads):
         monkeypatch.setattr(torus, "_THREADS", t)
         fracs = orbit_fracs(x, 2, 3, N)
-        results[t] = fracs, _bin_weights(fracs)
-    (one, w_one), (many, w_many) = results[1], results[threads]
+        counts = _bin_counts(x, 2, 3, N, 7)
+        inside = _interval_membership(x, 2, 3, N, Fraction(3, 4), Fraction(6, 5))  # wraps past 1
+        results[t] = fracs, _bin_weights(fracs), counts, inside
+    (one, w_one, c_one, i_one), (many, w_many, c_many, i_many) = results[1], results[threads]
     assert np.array_equal(one, many) and np.array_equal(w_one, w_many)
+    assert np.array_equal(c_one, c_many) and np.array_equal(i_one, i_many)
 
 
 def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool):
@@ -113,7 +124,7 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
     """The benchmark tracer wraps public functions and keeps one span stack: workers must call none."""
     monkeypatch.setattr(torus, "_THREADS", 2)
     caller, seen = threading.get_ident(), []
-    for module in (torus, irregular):
+    for module in (torus, measures, irregular):
         for name, fn in list(vars(module).items()):
             if inspect.isfunction(fn) and not name.startswith("_"):
                 def recorder(*args, _fn=fn, _name=name, **kwargs):
@@ -122,21 +133,49 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
 
                 monkeypatch.setattr(module, name, recorder)
     workers = set()
-    blocks = torus._int64_blocks
+    builder = torus._residue_rows
 
-    def worker_blocks(*args):
-        workers.add(threading.get_ident())
-        yield from blocks(*args)
+    def worker_rows(*args):
+        rows = builder(*args)
 
-    monkeypatch.setattr(torus, "_int64_blocks", worker_blocks)
-    assert irregular.membership_X(TorusPoint(123456789, SAMPLE_DEN), 2, 400, build_test_family(2), 2, 3)
+        def recorded(s, e):
+            workers.add(threading.get_ident())
+            return rows(s, e)
+
+        return recorded
+
+    monkeypatch.setattr(torus, "_residue_rows", worker_rows)
+    x = TorusPoint(123456789, SAMPLE_DEN)
+    assert irregular.membership_X(x, 2, 400, build_test_family(2), 2, 3)
+    assert len(workers) == 2  # the int64 rows did run on two threads
+    workers.clear()
+    measures.empirical_measure(x, 2, 3, 400, 10, 2)
+    assert len(workers) == 2  # the bin counts and the Fourier grid
+    workers.clear()
+    measures.semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [200, 400], 0.5)
+    assert len(workers) == 2  # the interval membership grid
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(60,))
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
     irregular.verify_irregular(random_word(6, 60, seed=1), recipe, build_test_family(2))
     names = {name for name, _ in seen}
     assert {"membership_X", "orbit_fracs", "orbit_residues", "verify_irregular", "digits_of"} <= names
+    assert {"empirical_measure", "semiequidist_profile"} <= names
     assert {ident for _, ident in seen} == {caller}
-    assert len(workers) == 2  # the int64 rows did run on two threads
+
+
+def test_bin_counts_hold_one_bin_array_per_thread(monkeypatch, fresh_pool):
+    """32 blocks of 2 rows with d = 2^16 bins: kept per block, their counts would take 16 MiB."""
+    monkeypatch.setattr(torus, "_THREADS", 2)
+    N, d = 64, 1 << 16
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 2 * N)
+    tracemalloc.start()
+    try:
+        counts = _bin_counts(POINTS["int64"], 2, 3, N, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == N * N
+    assert peak < 4 * 8 * d  # the total and one block's counts per thread
 
 
 def test_cli_without_an_orbit_grid_makes_no_pool():

@@ -20,6 +20,7 @@ from abtorus import (
     q_bound,
 )
 from words import random_word
+from abtorus import typecount
 from abtorus.typecount import ENTROPY_TOL
 
 
@@ -213,6 +214,17 @@ def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
 def test_itinerary_rejects_multiplier_below_two():
     with pytest.raises(ValueError, match="a must be >= 2"):
         itinerary_choices(TorusPoint(1, 5), 1, 2, 2, 4)
+
+
+def test_itinerary_alphabet_limit_holds_at_equality(monkeypatch):
+    """(M + 1) d^M equal to the limit passes, one more symbol or step is rejected; d = 1 too."""
+    monkeypatch.setattr(typecount, "MAX_CHOICES", 4 * 4**3)
+    x = TorusPoint(1, 7)
+    assert len(itinerary_choices(x, 2, 4, 3, 3).q) == 4**3
+    assert len(itinerary_choices(x, 2, 1, 255, 255).q) == 1
+    for d, M in [(5, 3), (4, 4), (1, 256)]:
+        with pytest.raises(ValueError, match=f"exceeds the limit 256 at -d {d} -M {M}$"):
+            itinerary_choices(x, 2, d, M, M)
 
 
 def block_entropy(x, a, d, M, N):
