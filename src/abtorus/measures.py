@@ -14,11 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _Counts, _map_rows, _residue_rows, orbit_fracs, orbit_residues
+from .torus import TorusPoint, _block_rows, _Counts, _map_rows, _residue_rows, _spread, orbit_fracs, orbit_residues
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
 MAX_BINS = 1 << 20  # the CLI writes ~190 bytes a bin: d = 2^20 peaks at 231 MB and writes 7.3 MB
+MAX_SUMS = 1 << 12  # cap on K * len(horizons), the character row sums kept per orbit row
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,12 @@ def empirical_measure(
     """The N-empirical measure of x on the depth-d partition, with |k| <= K Fourier data."""
     if N < 1 or not 1 <= d <= MAX_BINS or K < 0:  # also keeps r * d < 2^51 on int64 rows
         raise ValueError(f"need N >= 1, 1 <= d <= {MAX_BINS}, K >= 0")
+    sums = _character_sums(x, a, b, [N], K)
     counts = _bin_counts(x, a, b, N, d)
     weights = tuple(int(c) / N**2 for c in counts)
     fourier: dict[int, complex] = {0: 1}
-    for k, z in enumerate(_characters(x, a, b, N, K), start=1):
-        c = complex(z.mean())
+    for k, (total,) in enumerate(sums, start=1):
+        c = complex(total) / N**2
         if abs(c) > 1.0:
             c /= abs(c)
         fourier[k] = c
@@ -78,27 +80,38 @@ def empirical_measure(
     return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N)
 
 
-def _character(x: TorusPoint, a: int, b: int, N: int, k: int) -> np.ndarray:
-    """e^(2 pi i k a^m b^n x) over the N x N orbit grid."""
-    return np.exp(1j * k * (tau * orbit_fracs(x, a, b, N)))
+def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
+    """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for j < K.
 
-
-def _characters(x: TorusPoint, a: int, b: int, N: int, K: int):
-    """e^(2 pi i k a^m b^n x) for k = 1..K, as powers of the k = 1 grid of `_character`.
-
-    The same complex array is updated in place (z *= e1) and yielded for each k.
+    The grid of `orbit_fracs` is read in `_spread` row blocks: each cell of
+    e1 = e^(i k tau f) is made in its block, and its powers by z *= e1.
+    Row m's sum over its first h columns goes into rows[j, i, m]; a total
+    is then the sum of the first h row sums, so it is the same at any
+    block size, thread count or set of other horizons.
     """
-    e1 = _character(x, a, b, N, 1)
-    z = e1.copy()
-    for k in range(1, K + 1):
-        if k > 1:
-            z *= e1
-        yield z
+    N, H = max(horizons), len(horizons)
+    if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
+        raise ValueError(f"K = {K} exceeds the Fourier limit {MAX_SUMS // H} (K * horizons <= {MAX_SUMS})")
+    fracs = orbit_fracs(x, a, b, N)
+    rows = np.zeros((max(K, 0), H, N), dtype=complex)
+
+    def task(s: int, e: int) -> None:
+        e1 = np.exp(1j * k * (tau * fracs[s:e]))
+        z = e1.copy()
+        for j in range(K):
+            if j:
+                z *= e1
+            for i, h in enumerate(horizons):
+                if s < h:
+                    rows[j, i, s : min(e, h)] = z[: h - s, :h].sum(axis=1)
+
+    _spread(task, N, _block_rows(N))
+    return np.array([[rows[j, i, :h].sum() for i, h in enumerate(horizons)] for j in range(K)])
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
     """The Birkhoff average (1/N^2) sum e^(2 pi i k a^m b^n x)."""
-    return complex(_character(x, a, b, N, k).mean())
+    return complex(_character_sums(x, a, b, [N], 1, k)[0, 0]) / N**2
 
 
 def invariance_defect(
@@ -216,7 +229,7 @@ def convergence_diagnostic(
     """Weak* distance sum_{1 <= |k| <= K} 2^-|k| |mu_hat_N(k)| to Lebesgue per horizon (not monotone in N)."""
     horizons = _horizon_list(horizons)
     out = [0.0] * len(horizons)
-    for k, z in enumerate(_characters(x, a, b, max(horizons), K), start=1):
-        for i, (N, total) in enumerate(zip(horizons, _corner_sums(z, horizons))):
+    for k, sums in enumerate(_character_sums(x, a, b, horizons, K), start=1):
+        for i, (N, total) in enumerate(zip(horizons, sums)):
             out[i] += 2.0 ** (1 - k) * abs(total) / N**2  # +k and -k contribute equally
     return out

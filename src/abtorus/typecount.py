@@ -18,6 +18,7 @@ MAX_PARTS = 500  # cap on min(k, N): count_R's walk recurses once per part; Pyth
 # Cap on the (M + 1) d^M Fractions of an itinerary record (q and M decimated
 # distributions); d = 2, M = 15 holds 2^19 and runs in about a second.
 MAX_CHOICES = 1 << 20
+MAX_POINTS = 1 << 20  # cap on N: the record and the CLI line hold every label
 
 
 def entropy(p) -> float:
@@ -111,14 +112,15 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
         size *= d
     if size > MAX_CHOICES:
         raise ValueError(f"(M + 1) * d^M exceeds the limit {MAX_CHOICES} at -d {d} -M {M}")
+    if N > MAX_POINTS:
+        raise ValueError(f"N = {N} exceeds the itinerary limit {MAX_POINTS}")
     cyl = [r * d // x.den for r in _running_products(x.num, a, x.den, N + M - 1)]  # floor(d a^n x)
     k_M = d**M
-    indices = []
-    for n in range(N):
-        cell = 0
-        for i in range(M):
-            cell = cell * d + cyl[n + i]
-        indices.append(cell + 1)
+    top, cell, labels = k_M // d, 0, []
+    for c in cyl:  # the last M digits: drop the oldest, append the next
+        cell = cell % top * d + c
+        labels.append(cell + 1)
+    indices = labels[M - 1 :]  # the first M - 1 labels have fewer than M digits
     q = dist(indices, k_M)
     decimated = tuple(dist(indices[l::M], k_M) for l in range(M))
     return ChoiceRecord(indices=tuple(indices), q=q, decimated=decimated)

@@ -387,10 +387,26 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
          "struct spec 'c' entry must be a list of numbers"),
         (["moran-dim", "--struct", '{"n": ["a"], "c": ["1/2"]}'], "struct spec 'n' entry must be a list of numbers"),
         (["moran-dim", "--struct", '{"n": [2], "c": ["1/0"]}'], "struct spec 'c' entry must be a list of numbers"),
+        # the character row sums take 16 K N bytes at one horizon
+        (["empirical", "-a", "2", "-b", "3", "-x", "1/7", "-N", "1", "-K", "1000000"],
+         "K = 1000000 exceeds the Fourier limit 4096 (K * horizons <= 4096)"),
+        # the itinerary record and its line hold every label
+        (["itinerary", "-a", "2", "-x", "1/7", "-d", "1", "-M", "1", "-N", "1048577"],
+         "N = 1048577 exceeds the itinerary limit 1048576"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):
     assert capture(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+def test_itinerary_with_one_symbol_and_long_blocks_finishes():
+    """d = 1, M = N = 100000: each label is read off the previous one, not built in M steps."""
+    src = str(Path(irregular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["itinerary", "-a", "2", "-x", "1/7", "-d", "1", "-M", "100000", "-N", "100000"]
+    proc = subprocess.run([sys.executable, "-m", "abtorus", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["indices"] == [1] * 100000
 
 
 def test_default_family_depth():
@@ -602,3 +618,19 @@ def test_readme_example_matches_golden(capsys, monkeypatch, request, line):
         serve_depth_two_from_fixtures(request, monkeypatch)
     code, out, _ = capture(capsys, argv)
     assert {"exit": code, "stdout": out} == GOLDEN_EXAMPLES[line]
+
+
+def test_empirical_golden_fourier_is_within_1e_15_of_exact_phases():
+    """The golden empirical example against 40-digit sums of e^(2 pi i r / den)^k over the exact residues r."""
+    mpmath = pytest.importorskip("mpmath")
+    line = "abtorus empirical -a 2 -b 3 -x 3/1000003 -N 100 -d 20 -K 8"
+    fourier = json.loads(GOLDEN_EXAMPLES[line]["stdout"])["fourier"]
+    den, N = 1000003, 100
+    with mpmath.workdps(40):
+        cells = [mpmath.expjpi(mpmath.mpf(2 * (pow(2, m, den) * pow(3, n, den) * 3 % den)) / den)
+                 for m in range(N) for n in range(N)]
+        powers = list(cells)
+        for k in range(1, 9):
+            exact = mpmath.fsum(powers) / N**2
+            assert abs(mpmath.mpc(complex(*map(float, fourier[str(k)]))) - exact) < 1e-15
+            powers = [z * c for z, c in zip(powers, cells)]

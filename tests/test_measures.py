@@ -1,9 +1,12 @@
 import math
 import random
+from math import tau
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abtorus import (
     EmpiricalMeasure,
@@ -17,6 +20,7 @@ from abtorus import (
     point_of_word,
     semiequidist_profile,
 )
+from abtorus import measures, torus
 from abtorus.torus import _running_products
 from words import random_word
 
@@ -168,6 +172,58 @@ def test_convergence_diagnostic_unsorted_horizons():
     assert convergence_diagnostic(x, 2, 3, [40, 10, 25], 3) == [
         convergence_diagnostic(x, 2, 3, [N], 3)[0] for N in (40, 10, 25)
     ]
+
+
+def test_convergence_diagnostic_unsorted_horizons_over_many_blocks(monkeypatch):
+    """Blocks of 5 rows: each horizon spans 2 to 8 blocks and its total reads only its own row sums."""
+    x, horizons = TorusPoint(3, 1000003), [40, 10, 25, 10]
+    one_block = [convergence_diagnostic(x, 2, 3, [N], 3)[0] for N in horizons]
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 5 * 40)
+    assert convergence_diagnostic(x, 2, 3, horizons, 3) == one_block
+    assert [convergence_diagnostic(x, 2, 3, [N], 3)[0] for N in horizons] == one_block
+
+
+def exact_phase_sum(residues, den, k):
+    """sum e^(2 pi i (k r mod den) / den), each phase reduced exactly before it is rounded."""
+    phases = [tau * (k * r % den / den) for r in residues]
+    return complex(math.fsum(map(math.cos, phases)), math.fsum(map(math.sin, phases)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2**70), st.sampled_from([1000003, 2**31 - 1, 2**61 - 1, 6**30]),
+    st.integers(1, 30), st.lists(st.integers(1, 30), min_size=1, max_size=3), st.integers(-16, 16),
+)
+def test_character_sums_match_exact_phases(num, den, N, horizons, k):
+    """int64, big-integer and digit-automaton points: every Fourier output within 1e-13."""
+    x, K = TorusPoint(num, den), 6
+    grid = [[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den for n in range(N)] for m in range(N)]
+    cells = [r for row in grid for r in row]
+    assert abs(fourier_average(x, 2, 3, N, k) - exact_phase_sum(cells, x.den, k) / N**2) < 1e-13
+    mu = empirical_measure(x, 2, 3, N, 4, K)
+    for j in range(1, K + 1):
+        assert abs(mu.fourier[j] - exact_phase_sum(cells, x.den, j) / N**2) < 1e-13
+    top = max(horizons)
+    grid = [[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den for n in range(top)] for m in range(top)]
+    for h, got in zip(horizons, convergence_diagnostic(x, 2, 3, horizons, K)):
+        corner = [r for row in grid[:h] for r in row[:h]]
+        want = sum(2.0 ** (1 - j) * abs(exact_phase_sum(corner, x.den, j)) / h**2 for j in range(1, K + 1))
+        assert abs(got - want) < 1e-13
+
+
+def test_character_sum_limit_is_announced_before_any_grid(monkeypatch):
+    """K * len(horizons) <= MAX_SUMS holds at equality; one more is refused before orbit_fracs runs."""
+    x = TorusPoint(1, 7)
+    assert len(convergence_diagnostic(x, 2, 3, [3, 2], measures.MAX_SUMS // 2)) == 2
+
+    def no_grid(*args):
+        raise AssertionError("orbit_fracs ran before the limit was checked")
+
+    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    with pytest.raises(ValueError, match=r"^K = 2049 exceeds the Fourier limit 2048 \(K \* horizons <= 4096\)$"):
+        convergence_diagnostic(x, 2, 3, [3, 2], measures.MAX_SUMS // 2 + 1)
+    with pytest.raises(ValueError, match=r"^K = 4097 exceeds the Fourier limit 4096 "):
+        empirical_measure(x, 2, 3, 3, 2, measures.MAX_SUMS + 1)
 
 
 def test_convergence_diagnostic_random_digits():

@@ -64,6 +64,11 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
          "above": threads * BLOCK_ROWS + 1, "2R+1": 2 * BLOCK_ROWS + 1}[edge]
     x = POINTS[path]
     assert (torus._digit_length(x, 2, 3) > 0) == (path == "digit")
+    horizons = [N, 1, N // 2 + 1, N]  # unsorted, with a repeat
+    sums = {}  # the character sums in one block of every row
+    for t in (1, threads):
+        monkeypatch.setattr(torus, "_THREADS", t)
+        sums[t] = character_sums(x, N, horizons)
     monkeypatch.setattr(torus, "_BLOCK_CELLS", BLOCK_ROWS * N)  # blocks of BLOCK_ROWS rows
     results = {}
     for t in (1, threads):
@@ -72,9 +77,17 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
         counts = _bin_counts(x, 2, 3, N, 7)
         inside = _interval_membership(x, 2, 3, N, Fraction(3, 4), Fraction(6, 5))  # wraps past 1
         results[t] = fracs, _bin_weights(fracs), counts, inside
+        assert character_sums(x, N, horizons) == sums[1] == sums[t]
     (one, w_one, c_one, i_one), (many, w_many, c_many, i_many) = results[1], results[threads]
     assert np.array_equal(one, many) and np.array_equal(w_one, w_many)
     assert np.array_equal(c_one, c_many) and np.array_equal(i_one, i_many)
+
+
+def character_sums(x, N, horizons):
+    """Every public output read off the character sums: compared with ==, so bit for bit."""
+    fourier = measures.empirical_measure(x, 2, 3, N, 7, 5).fourier
+    averages = [measures.fourier_average(x, 2, 3, N, k) for k in (1, 3, -2)]
+    return fourier, averages, measures.convergence_diagnostic(x, 2, 3, horizons, 5)
 
 
 def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool):
@@ -145,21 +158,38 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
         return recorded
 
     monkeypatch.setattr(torus, "_residue_rows", worker_rows)
+    spread, sum_workers = measures._spread, set()
+
+    def recorded_spread(task, *args):
+        def recorded(s, e):
+            sum_workers.add(threading.get_ident())
+            return task(s, e)
+
+        return spread(recorded, *args)
+
+    monkeypatch.setattr(measures, "_spread", recorded_spread)
     x = TorusPoint(123456789, SAMPLE_DEN)
     assert irregular.membership_X(x, 2, 400, build_test_family(2), 2, 3)
     assert len(workers) == 2  # the int64 rows did run on two threads
     workers.clear()
     measures.empirical_measure(x, 2, 3, 400, 10, 2)
-    assert len(workers) == 2  # the bin counts and the Fourier grid
+    assert len(workers) == 2 and len(sum_workers) == 2  # the bin counts, the Fourier grid and its sums
+    sum_workers.clear()
     workers.clear()
     measures.semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [200, 400], 0.5)
     assert len(workers) == 2  # the interval membership grid
+    for call in (lambda: measures.fourier_average(x, 2, 3, 400, 3),
+                 lambda: measures.convergence_diagnostic(x, 2, 3, [400, 200], 2)):
+        workers.clear()
+        call()
+        assert len(workers) == 2 and len(sum_workers) == 2  # the Fourier grid and its character sums
+        sum_workers.clear()
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(60,))
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
     irregular.verify_irregular(random_word(6, 60, seed=1), recipe, build_test_family(2))
     names = {name for name, _ in seen}
     assert {"membership_X", "orbit_fracs", "orbit_residues", "verify_irregular", "digits_of"} <= names
-    assert {"empirical_measure", "semiequidist_profile"} <= names
+    assert {"empirical_measure", "semiequidist_profile", "fourier_average", "convergence_diagnostic"} <= names
     assert {ident for _, ident in seen} == {caller}
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abtorus import (
@@ -198,10 +198,11 @@ def test_itinerary_decimation_identity():
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 10**6), st.sampled_from([1, 7, 96, 2**31 - 1, 6**30 + 1]), st.integers(2, 12),
-    st.integers(1, 5), st.integers(1, 3), st.integers(0, 30),
+    st.integers(1, 5), st.integers(1, 10), st.integers(0, 30),
 )
 def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
-    """Cells read off the residues a^n num mod den equal those of the exact T_a chain."""
+    """Cells read off the residues a^n num mod den, each from the one before, equal M-digit labels of the exact T_a chain."""
+    assume((M + 1) * d**M <= 1 << 12)  # the record holds that many Fractions
     x, N = TorusPoint(num, den), M + extra  # N >= M, so no decimated subword is empty
     pts = [x]
     for _ in range(N + M - 2):
@@ -225,6 +226,14 @@ def test_itinerary_alphabet_limit_holds_at_equality(monkeypatch):
     for d, M in [(5, 3), (4, 4), (1, 256)]:
         with pytest.raises(ValueError, match=f"exceeds the limit 256 at -d {d} -M {M}$"):
             itinerary_choices(x, 2, d, M, M)
+
+
+def test_itinerary_length_limit_holds_at_equality(monkeypatch):
+    monkeypatch.setattr(typecount, "MAX_POINTS", 10)
+    x = TorusPoint(1, 7)
+    assert len(itinerary_choices(x, 2, 2, 3, 10).indices) == 10
+    with pytest.raises(ValueError, match="^N = 11 exceeds the itinerary limit 10$"):
+        itinerary_choices(x, 2, 2, 3, 11)
 
 
 def block_entropy(x, a, d, M, N):
