@@ -18,9 +18,6 @@ from . import irregular, measures, moran, torus, typecount
 from .torus import mult_indep_check
 
 USAGE_ERROR = 64
-# Longest side `orbit` prints: it keeps every cell string, about 160 B a cell
-# (674 MB peak RSS at N = 2048), so the kernel's MAX_SIDE would need ~10 GB.
-ORBIT_SIDE = 1 << 11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,16 +104,21 @@ def run(argv: list[str]) -> int:
 
 
 def _orbit(args):
-    if args.N > ORBIT_SIDE:
-        raise ValueError(f"N = {args.N} exceeds the orbit side limit {ORBIT_SIDE}")
+    """Write each block of rows as it is formatted: the output is the `_emit` text, one block in memory."""
     _warn_dependent(args.a, args.b)
     x = _point(args.x)
-    cells = []
-    for blk in torus.orbit_residues(x, args.a, args.b, args.N):
+    blocks = torus.orbit_residues(x, args.a, args.b, args.N)  # checks a, b and N before any output
+    if args.format == "csv":
+        head, sep, tail, line = "", "", "", lambda cells: ",".join(cells) + "\n"
+    else:  # json.dumps({"orbit": rows, "seed": s}) is its text around [] with the rows joined by ", "
+        head, tail = json.dumps({"orbit": [], "seed": args.seed}).split("[]")
+        head, sep, tail, line = head + "[", ", ", "]" + tail + "\n", json.dumps
+    for blk in blocks:
         g = np.gcd(blk, x.den)  # each cell r/den in lowest terms, as TorusPoint would print it
-        for nums, dens in zip((blk // g).tolist(), (x.den // g).tolist()):
-            cells.append([f"{n}/{d}" for n, d in zip(nums, dens)])
-    _emit(args, {"orbit": cells}, [",".join(row) for row in cells])
+        rows = zip((blk // g).tolist(), (x.den // g).tolist())
+        sys.stdout.write(head + sep.join(line([f"{n}/{d}" for n, d in zip(*row)]) for row in rows))
+        head = sep
+    sys.stdout.write(tail)
 
 
 def _empirical(args):

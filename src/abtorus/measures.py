@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import tau
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _block_rows, _Counts, _map_rows, _residue_rows, _spread, orbit_fracs, orbit_residues
+from .torus import TorusPoint, _block_rows, _Counts, _map_rows, _residue_rows, _spread, orbit_fracs
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
@@ -80,33 +80,52 @@ def empirical_measure(
     return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N)
 
 
-def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
-    """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for j < K.
+def _corner_totals(
+    horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype
+) -> np.ndarray:
+    """totals[p, i]: plane p of the grid summed over its corner m, n < horizons[i], for p < P.
 
-    The grid of `orbit_fracs` is read in `_spread` row blocks: each cell of
-    e1 = e^(i k tau f) is made in its block, and its powers by z *= e1.
-    Row m's sum over its first h columns goes into rows[j, i, m]; a total
-    is then the sum of the first h row sums, so it is the same at any
-    block size, thread count or set of other horizons.
+    planes(s, e) yields the P planes of grid rows s .. e-1, in the `_spread`
+    row blocks of a max(horizons)-wide grid; each is read before the next is
+    asked for.  Row m's sum over its first h columns goes into
+    rows[p, i, m], one i per distinct horizon; a total is then the sum of
+    the first h row sums, so it is the same at any block size, thread count
+    or set of other horizons.
     """
-    N, H = max(horizons), len(horizons)
-    if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
-        raise ValueError(f"K = {K} exceeds the Fourier limit {MAX_SUMS // H} (K * horizons <= {MAX_SUMS})")
-    fracs = orbit_fracs(x, a, b, N)
-    rows = np.zeros((max(K, 0), H, N), dtype=complex)
+    N, distinct = max(horizons), sorted(set(horizons))
+    rows = np.zeros((P, len(distinct), N), dtype=dtype)
 
     def task(s: int, e: int) -> None:
+        for p, plane in enumerate(planes(s, e)):
+            for i, h in enumerate(distinct):
+                if s < h:
+                    rows[p, i, s : min(e, h)] = plane[: h - s, :h].sum(axis=1)
+
+    _spread(task, N, _block_rows(N))
+    column = {h: i for i, h in enumerate(distinct)}
+    return np.array([[rows[p, column[h], :h].sum() for h in horizons] for p in range(P)])
+
+
+def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
+    """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
+
+    The grid of `orbit_fracs` is read in `_corner_totals` row blocks: each
+    cell of e1 = e^(i k tau f) is made in its block, and its powers by z *= e1.
+    """
+    H = len(horizons)
+    if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
+        raise ValueError(f"K = {K} exceeds the Fourier limit {MAX_SUMS // H} (K * horizons <= {MAX_SUMS})")
+    fracs = orbit_fracs(x, a, b, max(horizons))
+
+    def powers(s: int, e: int) -> Iterable[np.ndarray]:
         e1 = np.exp(1j * k * (tau * fracs[s:e]))
         z = e1.copy()
         for j in range(K):
             if j:
                 z *= e1
-            for i, h in enumerate(horizons):
-                if s < h:
-                    rows[j, i, s : min(e, h)] = z[: h - s, :h].sum(axis=1)
+            yield z
 
-    _spread(task, N, _block_rows(N))
-    return np.array([[rows[j, i, :h].sum() for i, h in enumerate(horizons)] for j in range(K)])
+    return _corner_totals(horizons, powers, K, complex)
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
@@ -127,36 +146,26 @@ def invariance_defect(
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
     c, o = (a, b) if map_choice == "a" else (b, a)
-    orbit_residues(x, c, o, N)  # checks a, b and N
     first = _residue_rows(x, c, o, N)(0, 1)[0]  # row 0 of the grid: the o-orbit of x
     rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
     last, plain = np.exp(1j * k * (tau * rows.astype(float))).sum(axis=1)
     return abs(last - plain) / N**2
 
 
-def _interval_membership(
-    x: TorusPoint, a: int, b: int, N: int, lo: Fraction, hi: Fraction
-) -> np.ndarray:
-    """Exact indicator grid of a^m b^n x in the open interval (lo, hi) mod Z.
+def _interval_test(den: int, lo: Fraction, hi: Fraction) -> Callable[[np.ndarray], np.ndarray]:
+    """inside(r): the exact bool array of r / den in the open interval (lo, hi) mod Z.
 
     With lo' = lo mod 1 and hi' = lo' + (hi - lo) < lo' + 1, r / den lies in
     the interval iff floor(lo' den) < r < ceil(hi' den) or, wrapping past 1,
     r < ceil(hi' den) - den.
     """
-    orbit_residues(x, a, b, N)  # checks N before any grid is allocated
     if hi - lo >= 1:
-        return np.ones((N, N), dtype=bool)
+        return lambda r: np.ones(r.shape, dtype=bool)
     lo_mod = lo % 1
     hi_mod = lo_mod + (hi - lo)
-    lo_end = lo_mod.numerator * x.den // lo_mod.denominator
-    hi_end = -(-hi_mod.numerator * x.den // hi_mod.denominator)
-    out = np.empty((N, N), dtype=bool)
-
-    def member(s: int, r: np.ndarray) -> None:
-        out[s : s + len(r)] = (r > lo_end) & (r < hi_end) | (r < hi_end - x.den)
-
-    _map_rows(x, a, b, N, member)
-    return out
+    lo_end = lo_mod.numerator * den // lo_mod.denominator
+    hi_end = -(-hi_mod.numerator * den // hi_mod.denominator)
+    return lambda r: (r > lo_end) & (r < hi_end) | (r < hi_end - den)
 
 
 def _horizon_list(horizons: Sequence[int]) -> list[int]:
@@ -166,21 +175,6 @@ def _horizon_list(horizons: Sequence[int]) -> list[int]:
     if min(horizons) < 1:
         raise ValueError("horizons must be >= 1")
     return horizons
-
-
-def _corner_sums(grid: np.ndarray, horizons: list[int]) -> list:
-    """The N x N corner total of `grid` for each N in `horizons`, each read once.
-
-    Rows go one by one into column sums (bool rows as ints), so a corner's
-    total depends on that corner alone, whatever the other horizons.
-    """
-    columns, read, corner = np.zeros(len(grid), dtype=np.result_type(grid, 0)), 0, {}
-    for N in sorted(set(horizons)):
-        for row in grid[read:N]:
-            columns += row
-        read = N
-        corner[N] = columns[:N].sum()
-    return [corner[N] for N in horizons]
 
 
 def semiequidist_profile(
@@ -205,9 +199,10 @@ def semiequidist_profile(
     lo, hi = Fraction(target[0]), Fraction(target[1])
     if hi <= lo:
         raise ValueError("empty interval")
-    grid = _interval_membership(x, a, b, horizons[-1], lo, hi)
+    rows, inside = _residue_rows(x, a, b, horizons[-1]), _interval_test(x.den, lo, hi)
+    (counts,) = _corner_totals(horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32)  # a row count is <= N
     measure = float(min(hi - lo, Fraction(1)))
-    ratios = [int(s) / N**2 for N, s in zip(horizons, _corner_sums(grid, horizons))]
+    ratios = [int(c) / N**2 for N, c in zip(horizons, counts)]
     tail = ratios[-max(1, len(ratios) // 4) :]
     liminf = min(tail)
     verdict = liminf >= t_claim * measure - TOLERANCE
@@ -228,6 +223,8 @@ def convergence_diagnostic(
 ) -> list[float]:
     """Weak* distance sum_{1 <= |k| <= K} 2^-|k| |mu_hat_N(k)| to Lebesgue per horizon (not monotone in N)."""
     horizons = _horizon_list(horizons)
+    if K < 0:
+        raise ValueError("K must be >= 0")
     out = [0.0] * len(horizons)
     for k, sums in enumerate(_character_sums(x, a, b, horizons, K), start=1):
         for i, (N, total) in enumerate(zip(horizons, sums)):

@@ -152,14 +152,25 @@ class _Counts:
             self.total += block
 
 
+def _check_grid(a: int, b: int, N: int) -> None:
+    """Reject a, b < 2 and N outside 1..MAX_SIDE before any grid is made."""
+    if min(a, b) < 2:
+        raise ValueError("a, b must be >= 2")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N > MAX_SIDE:
+        raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
+
+
 def _residue_rows(x: TorusPoint, a: int, b: int, N: int) -> Callable[[int, int], np.ndarray]:
-    """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues`.
+    """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues`, after `_check_grid`.
 
     The columns a^m num and b^n mod den are built once, each power a running
     product z -> z * c % den.  An int64 block is their outer product, reduced
     exactly as p - p // den * den: the products stay below 2^62.  An object
     row is a running product of b, faster than a Python-int outer product.
     """
+    _check_grid(a, b, N)
     den = x.den
     acol = _running_products(x.num, a, den, N)
     if den < 2**31:
@@ -192,27 +203,15 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
     max(1, _BLOCK_CELLS // N) rows each (the last may be shorter), which
     stack to the N x N grid, on the calling thread; the library's N^2
     consumers read the same blocks on threads through `_map_rows`.  a, b < 2
-    and N outside 1..MAX_SIDE are rejected at the call; no residue is
-    computed until the first block is read.
+    and N outside 1..MAX_SIDE are rejected at the call; no row is computed
+    until its block is read.
     """
-    if min(a, b) < 2:
-        raise ValueError("a, b must be >= 2")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > MAX_SIDE:
-        raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
-
-    def blocks() -> Iterator[np.ndarray]:
-        rows, R = _residue_rows(x, a, b, N), _block_rows(N)
-        for s in range(0, N, R):
-            yield rows(s, min(s + R, N))
-
-    return blocks()
+    rows, R = _residue_rows(x, a, b, N), _block_rows(N)
+    return (rows(s, min(s + R, N)) for s in range(0, N, R))
 
 
 def _map_rows(x: TorusPoint, a: int, b: int, N: int, task: Callable[[int, np.ndarray], object]) -> list:
-    """[task(s, residue rows s .. e-1)] over the blocks [s, e) of `_spread`, after `orbit_residues`' checks."""
-    orbit_residues(x, a, b, N)
+    """[task(s, residue rows s .. e-1)] over the blocks [s, e) of `_spread`."""
     rows = _residue_rows(x, a, b, N)
     return _spread(lambda s, e: task(s, rows(s, e)), N, _block_rows(N))
 
@@ -236,7 +235,7 @@ def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
     divided by den straight into its rows of the grid.  Each cell is the
     double nearest the exact point, so the paths agree.
     """
-    orbit_residues(x, a, b, N)  # checks a, b and N before any path builds its grid
+    _check_grid(a, b, N)  # before either path allocates its grid
     K = _digit_length(x, a, b)
     if K:
         return _digit_fracs(x, a, b, N, K)

@@ -105,12 +105,8 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
         raise ValueError("need d >= 1, M >= 1, N >= M")
     if a < 2:
         raise ValueError("a must be >= 2")
-    size = M + 1  # (M + 1) d^M without forming d^M: that many factors d >= 2 pass the limit
-    for _ in range(min(M, MAX_CHOICES.bit_length())):
-        if size > MAX_CHOICES:
-            break
-        size *= d
-    if size > MAX_CHOICES:
+    # (M + 1) d^M without forming d^M: that many factors d >= 2 pass the limit
+    if (M + 1) * d ** min(M, MAX_CHOICES.bit_length()) > MAX_CHOICES:
         raise ValueError(f"(M + 1) * d^M exceeds the limit {MAX_CHOICES} at -d {d} -M {M}")
     if N > MAX_POINTS:
         raise ValueError(f"N = {N} exceeds the itinerary limit {MAX_POINTS}")

@@ -4,8 +4,10 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,45 @@ def test_orbit_stdout_across_block_edges(capsys, monkeypatch, x, N):
     assert capture(capsys, argv) == (0, json.dumps({"orbit": want, "seed": 0}) + "\n", "")
 
 
+class Writes(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("N", [1, 2, 5, 11])
+@pytest.mark.parametrize("x", ["1234567/2147483647", f"{10**17 + 3}/{2**61 - 1}", f"5/{6**20}"])
+def test_orbit_writes_each_block_of_the_one_shot_text(monkeypatch, x, N, fmt):
+    """Blocks of two rows: one write per block, and the writes join to json.dumps (or the CSV join) of orbit_grid."""
+    cells = [[str(p) for p in row] for row in torus.orbit_grid(TorusPoint.parse(x), 2, 3, N)]
+    seed = -12345
+    want = json.dumps({"orbit": cells, "seed": seed}) + "\n" if fmt == "json" else "".join(",".join(row) + "\n" for row in cells)
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 2 * N)
+    out = Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["orbit", "-a", "2", "-b", "3", "-x", x, "-N", str(N), "--seed", str(seed), "--format", fmt]) == 0
+    assert "".join(out) == want
+    assert len([w for w in out if w]) == -(-N // 2) + (fmt == "json")  # the blocks, then the json tail
+
+
+def test_orbit_memory_does_not_grow_with_the_grid(monkeypatch):
+    """16 times the cells, about the same peak: one block of cell strings is held at a time."""
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 1 << 10)
+    peaks = {}
+    for N in (64, 256):
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=len))  # keeps nothing
+        tracemalloc.start()
+        try:
+            assert run(["orbit", "-a", "2", "-b", "3", "-x", "1234567/2147483647", "-N", str(N)]) == 0
+            _, peaks[N] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] < 2 * peaks[64], peaks
+
+
 def test_orbit_with_huge_multiplier_is_exact(capsys):
     a = 10**400
     code, out, err = capture(capsys, ["orbit", "-a", str(a), "-b", "3", "-x", "1/7", "-N", "3"])
@@ -359,9 +400,9 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         (["kt-bound", "-a", "1", "-b", "3", "-t", "0.1"], "a, b must be >= 2"),
         (["q-bound", "-a", "1", "-t", "0.1"], "a must be >= 2"),
         (["q-bound", "-a", "0", "-t", "0.1"], "a must be >= 2"),
-        # orbit keeps every cell string, so it has a side limit below the kernel's
-        (["orbit", "-a", "2", "-b", "3", "-x", "1/5", "-N", "2049"],
-         "N = 2049 exceeds the orbit side limit 2048"),
+        # orbit writes its rows block by block, so its one side limit is the kernel's
+        (["orbit", "-a", "2", "-b", "3", "-x", "1/5", "-N", "8193"],
+         "N = 8193 exceeds the grid side limit 8192"),
         # the itinerary record holds (M + 1) d^M Fractions; -d 64 -M 3 is exactly 2^20
         (["itinerary", "-a", "2", "-x", "1/7", "-d", "10", "-M", "30", "-N", "40"],
          "(M + 1) * d^M exceeds the limit 1048576 at -d 10 -M 30"),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import DigitWord, TorusPoint, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
-from abtorus.measures import _bin_counts, _interval_membership
+from abtorus.measures import _bin_counts, _interval_test
 from abtorus.torus import _digit_length
 
 # Both sides of the int64/bigint switch (6**30 also passes 2**63), the trivial
@@ -32,6 +32,11 @@ sides = st.integers(min_value=1, max_value=7)
 def residue_grid(x, a, b, N):
     """The N x N residues, the row blocks of `orbit_residues` stacked."""
     return np.vstack(list(orbit_residues(x, a, b, N)))
+
+
+def membership_grid(x, a, b, N, lo, hi):
+    """The interval test of `semiequidist_profile` on the stacked row blocks of `orbit_residues`."""
+    return _interval_test(x.den, lo, hi)(residue_grid(x, a, b, N))
 
 
 def exact_residues(x, a, b, N):
@@ -124,7 +129,7 @@ def test_small_blocks_stack_to_the_exact_grid(x, a, b, N, cells):
         blocks = list(orbit_residues(x, a, b, N))
         fracs = orbit_fracs(x, a, b, N)
         counts = _bin_counts(x, a, b, N, 7)
-        inside = _interval_membership(x, a, b, N, Fraction(1, 3), Fraction(5, 4))
+        inside = membership_grid(x, a, b, N, Fraction(1, 3), Fraction(5, 4))
     assert [len(blk) for blk in blocks] == block_heights(N, max(1, cells // N))
     exact = exact_residues(x, a, b, N)
     assert np.vstack(blocks).tolist() == exact
@@ -196,19 +201,19 @@ def test_interval_membership_matches_fraction_reference(x, a, b, N, data):
             st.fractions(min_value=0, max_value=3, max_denominator=50).map(lambda t: lo + t),
         ).filter(lambda h: h > lo)
     )
-    grid = _interval_membership(x, a, b, N, lo, hi)
-    assert grid.shape == (N, N)
+    grid = membership_grid(x, a, b, N, lo, hi)
+    assert grid.shape == (N, N) and grid.dtype == bool
     ref = [[reference_membership(Fraction(r, x.den), lo, hi) for r in row] for row in exact]
     assert grid.tolist() == ref
 
 
 def test_interval_membership_edge_cases():
     x = TorusPoint(1, 5)  # orbit under 2, 3 visits 1/5, 2/5, 3/5, 4/5
-    grid = _interval_membership(x, 2, 3, 4, Fraction(1, 5), Fraction(3, 5))
+    grid = membership_grid(x, 2, 3, 4, Fraction(1, 5), Fraction(3, 5))
     assert sorted(set(grid.sum(axis=1).tolist())) == [1]  # only 2/5 lies strictly inside
-    wrap = _interval_membership(x, 2, 3, 4, Fraction(-1, 5), Fraction(3, 10))
+    wrap = membership_grid(x, 2, 3, 4, Fraction(-1, 5), Fraction(3, 10))
     assert grid.shape == wrap.shape and wrap.sum() == 4  # only 1/5, through the wrap
-    assert _interval_membership(x, 2, 3, 4, Fraction(1, 5), Fraction(6, 5)).all()
+    assert membership_grid(x, 2, 3, 4, Fraction(1, 5), Fraction(6, 5)).all()
     assert _bin_counts(TorusPoint(0, 1), 2, 3, 3, 7).tolist() == [9, 0, 0, 0, 0, 0, 0]
 
 

@@ -167,6 +167,47 @@ def test_convergence_diagnostic_no_coefficients():
     assert convergence_diagnostic(TorusPoint(1, 7), 2, 3, [5, 10], 0) == [0.0, 0.0]
 
 
+def test_convergence_diagnostic_rejects_negative_K(monkeypatch):
+    """K < 0 has no coefficients to sum: it is refused before any grid, not reported as distance 0."""
+
+    def no_grid(*args):
+        raise AssertionError("orbit_fracs ran before K was checked")
+
+    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    with pytest.raises(ValueError, match=r"^K must be >= 0$"):
+        convergence_diagnostic(TorusPoint(1, 7), 2, 3, [5], -2)
+
+
+def inside_reference(y: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """y + k in the open interval (lo, hi) for some integer k, or the interval covers the circle."""
+    return hi - lo >= 1 or any(lo < y + k < hi for k in range(math.floor(lo) - 1, math.ceil(hi) + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**12), st.sampled_from([1000003, 2**31 - 1, 6**30, 2**61 - 1]),
+    st.integers(1, 24), st.integers(1, 8), st.data(),
+)
+def test_semiequidist_counts_match_fraction_reference(k, den, N, R, data):
+    """Each horizon's count over its corner m, n < h, in R-row blocks, equals a count of exact points.
+
+    The horizons repeat and one of them ends on a block edge; den = 6^30
+    is a digit-path point of orbit_fracs, 2^61 - 1 a big-integer one.
+    """
+    x = TorusPoint(6 * k + 1, den)
+    R = min(R, N)
+    edge = data.draw(st.sampled_from(range(R, N + 1, R)))
+    horizons = sorted(data.draw(st.lists(st.integers(1, N), max_size=4)) + [edge, edge, N])
+    lo = data.draw(st.fractions(-2, 2, max_denominator=40))
+    hi = lo + data.draw(st.fractions(0, 3, max_denominator=40).filter(lambda t: t > 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "_BLOCK_CELLS", R * N)
+        ratios = semiequidist_profile(x, 2, 3, (lo, hi), horizons, 0.5).ratios
+    inside = [[inside_reference(Fraction(pow(2, m, den) * pow(3, n, den) * x.num % den, den), lo, hi)
+               for n in range(N)] for m in range(N)]
+    assert ratios == [sum(sum(row[:h]) for row in inside[:h]) / h**2 for h in horizons]
+
+
 def test_convergence_diagnostic_unsorted_horizons():
     x = TorusPoint(3, 1000003)
     assert convergence_diagnostic(x, 2, 3, [40, 10, 25], 3) == [

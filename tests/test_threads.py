@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from abtorus import TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
 from abtorus.irregular import SAMPLE_DEN, IrregularRecipe, Schedule, _bin_weights
-from abtorus.measures import _bin_counts, _interval_membership
+from abtorus.measures import _bin_counts
 from words import random_word
 
 BLOCK_ROWS = 2
@@ -75,12 +75,13 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
         monkeypatch.setattr(torus, "_THREADS", t)
         fracs = orbit_fracs(x, 2, 3, N)
         counts = _bin_counts(x, 2, 3, N, 7)
-        inside = _interval_membership(x, 2, 3, N, Fraction(3, 4), Fraction(6, 5))  # wraps past 1
-        results[t] = fracs, _bin_weights(fracs), counts, inside
+        interval = (Fraction(3, 4), Fraction(6, 5))  # wraps past 1
+        ratios = measures.semiequidist_profile(x, 2, 3, interval, sorted(horizons), 0.5).ratios  # the horizon counts
+        results[t] = fracs, _bin_weights(fracs), counts, ratios
         assert character_sums(x, N, horizons) == sums[1] == sums[t]
-    (one, w_one, c_one, i_one), (many, w_many, c_many, i_many) = results[1], results[threads]
+    (one, w_one, c_one, r_one), (many, w_many, c_many, r_many) = results[1], results[threads]
     assert np.array_equal(one, many) and np.array_equal(w_one, w_many)
-    assert np.array_equal(c_one, c_many) and np.array_equal(i_one, i_many)
+    assert np.array_equal(c_one, c_many) and r_one == r_many
 
 
 def character_sums(x, N, horizons):
@@ -158,6 +159,7 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
         return recorded
 
     monkeypatch.setattr(torus, "_residue_rows", worker_rows)
+    monkeypatch.setattr(measures, "_residue_rows", worker_rows)  # semiequidist_profile reads the rows itself
     spread, sum_workers = measures._spread, set()
 
     def recorded_spread(task, *args):
@@ -177,7 +179,8 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
     sum_workers.clear()
     workers.clear()
     measures.semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [200, 400], 0.5)
-    assert len(workers) == 2  # the interval membership grid
+    assert len(workers) == 2 and len(sum_workers) == 2  # the residue rows and their interval counts
+    sum_workers.clear()
     for call in (lambda: measures.fourier_average(x, 2, 3, 400, 3),
                  lambda: measures.convergence_diagnostic(x, 2, 3, [400, 200], 2)):
         workers.clear()
@@ -188,7 +191,7 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
     irregular.verify_irregular(random_word(6, 60, seed=1), recipe, build_test_family(2))
     names = {name for name, _ in seen}
-    assert {"membership_X", "orbit_fracs", "orbit_residues", "verify_irregular", "digits_of"} <= names
+    assert {"membership_X", "orbit_fracs", "verify_irregular", "digits_of"} <= names
     assert {"empirical_measure", "semiequidist_profile", "fourier_average", "convergence_diagnostic"} <= names
     assert {ident for _, ident in seen} == {caller}
 
