@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -109,14 +110,20 @@ def _orbit(args):
     x = _point(args.x)
     blocks = torus.orbit_residues(x, args.a, args.b, args.N)  # checks a, b and N before any output
     if args.format == "csv":
-        head, sep, tail, line = "", "", "", lambda cells: ",".join(cells) + "\n"
-    else:  # json.dumps({"orbit": rows, "seed": s}) is its text around [] with the rows joined by ", "
+        head, sep, tail, cell, line = "", "", "", ",", "{}\n"
+    else:  # json.dumps({"orbit": rows, "seed": s}) is its text around [] with the rows joined by ", ",
+        # and json.dumps of a row of "n/d" strings, which need no escapes, is ["..."] around '", "'.join(row)
         head, tail = json.dumps({"orbit": [], "seed": args.seed}).split("[]")
-        head, sep, tail, line = head + "[", ", ", "]" + tail + "\n", json.dumps
+        head, sep, tail, cell, line = head + "[", ", ", "]" + tail + "\n", '", "', '["{}"]'
+    # x is reduced, so when gcd(ab, den) = 1 every residue r is a unit and r/den is in lowest terms
+    units = gcd(args.a * args.b, x.den) == 1
     for blk in blocks:
-        g = np.gcd(blk, x.den)  # each cell r/den in lowest terms, as TorusPoint would print it
-        rows = zip((blk // g).tolist(), (x.den // g).tolist())
-        sys.stdout.write(head + sep.join(line([f"{n}/{d}" for n, d in zip(*row)]) for row in rows))
+        if units:  # one join per row
+            rows = (f"/{x.den}{cell}".join(map(str, row)) + f"/{x.den}" for row in blk.tolist())
+        else:  # each cell r/den in lowest terms, as TorusPoint would print it
+            g = np.gcd(blk, x.den)
+            rows = (cell.join(f"{n}/{d}" for n, d in zip(*row)) for row in zip((blk // g).tolist(), (x.den // g).tolist()))
+        sys.stdout.write(head + sep.join(map(line.format, rows)))
         head = sep
     sys.stdout.write(tail)
 

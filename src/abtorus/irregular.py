@@ -73,7 +73,9 @@ class BumpFunction:
 
     def __call__(self, x):
         s = float(self.base) ** -self.l
-        return np.clip((2.0 * s - np.asarray(x)) / s, 0.0, 1.0)
+        y = np.asarray(2.0 * s - np.asarray(x))  # the one temporary, a 0-d array for a scalar x
+        y /= s
+        return np.clip(y, 0.0, 1.0, out=y)[()]  # [()] reads a 0-d array as its scalar
 
 
 def bump_function(a: int, b: int, r: Fraction) -> BumpFunction:

@@ -20,6 +20,8 @@ from .torus import TorusPoint, _block_rows, _Counts, _map_rows, _residue_rows, _
 TOLERANCE = 0.05
 MAX_BINS = 1 << 20  # the CLI writes ~190 bytes a bin: d = 2^20 peaks at 231 MB and writes 7.3 MB
 MAX_SUMS = 1 << 12  # cap on K * len(horizons), the character row sums kept per orbit row
+PHASE_LIMIT = 1 << 42  # |k mod den| < 2^42 keeps f |k| 2^11 < 2^53, so the table indices are exact
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0  # floor(pi 2^192)
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,72 @@ def empirical_measure(
     return EmpiricalMeasure(d=d, weights=weights, fourier=fourier, N=N)
 
 
+def _turn_table(bits: int, count: int) -> np.ndarray:
+    """e(j / 2^bits) = e^(2 pi i j / 2^bits) for j < count, each component the nearest double.
+
+    The entries are powers of e(2^-bits) in 128-bit fixed point, whose
+    cosine and sine are summed from their Taylor series: each is within
+    count 2^-123 of exact before its one rounding to double.
+    """
+    one = 1 << 128
+    theta = _PI >> (64 + bits - 1)  # 2 pi / 2^bits in 128-bit fixed point
+    unit, term, n = [one, 0], one, 0
+    while term:  # the terms (i theta)^n / n! alternate real, imaginary
+        n += 1
+        term = term * theta // n >> 128
+        unit[n % 2] += term if n % 4 < 2 else -term
+    (c, s), re, im, out = unit, one, 0, []
+    for _ in range(count):
+        out.append(complex(re / one, im / one))
+        re, im = (re * c - im * s) >> 128, (re * s + im * c) >> 128
+    return np.array(out)
+
+
+# _T1[j] = e(j / 2^11) and _T2[j] = e(j / 2^22), j < 2^11: 32 KiB each, so
+# both stay in cache.  _T1 is its first quadrant turned by i, -1 and -i, exactly.
+_T1 = np.multiply.outer([1, 1j, -1, -1j], _turn_table(11, 1 << 9)).ravel()
+_T2 = _turn_table(22, 1 << 11)
+
+
+def _phases(f: np.ndarray, k: int) -> np.ndarray:
+    """e(k f) = e^(2 pi i k f) of each cell of a float block f in [0, 1], for |k| < PHASE_LIMIT.
+
+    t = f |k| 2^11 splits exactly into i1 + (i2 + t2) / 2^11 with integers
+    i1 >= 0, 0 <= i2 < 2^11 and t2 in [0, 1), so e(|k| f) = T1[i1 mod 2^11]
+    T2[i2] e(theta) with theta = t2 tau / 2^22 < 1.5e-6.  e(theta) is taken as
+    1 - theta^2/2 + i theta: the dropped terms are below 2^-60.  Each cell is
+    within (6.5 + 2 pi |k|) 2^-53 of e(k f) for the exact double f; the
+    2 pi |k| term is the rounding of f |k| 2^11, which is exact when |k| is
+    a power of 2.  A cell that rounded to 1.0 gives e(k) = 1.
+    """
+    t = f * (abs(k) * 2048.0)
+    i = t.astype(np.int64)  # floor, as t >= 0
+    t -= i
+    t *= 2048.0
+    i &= 2047
+    z = _T1.take(i)
+    np.copyto(i, t, casting="unsafe")
+    t -= i
+    z *= _T2.take(i)
+    t *= tau / 2**22
+    p = np.empty(z.shape, dtype=complex)
+    p.imag = t
+    t *= t
+    t *= -0.5
+    t += 1.0
+    p.real = t
+    z *= p
+    return np.conjugate(z, out=z) if k < 0 else z
+
+
+def _frequency(k: int, den: int) -> int:
+    """k as its signed residue mod den, exact because e(k r / den) depends only on k mod den."""
+    r = (k + den // 2) % den - den // 2
+    if abs(r) >= PHASE_LIMIT:
+        raise ValueError(f"-K {k} is {r} mod the denominator {den}: |k mod den| must be below 2^42")
+    return r
+
+
 def _corner_totals(
     horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype
 ) -> np.ndarray:
@@ -110,15 +178,17 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
 
     The grid of `orbit_fracs` is read in `_corner_totals` row blocks: each
-    cell of e1 = e^(i k tau f) is made in its block, and its powers by z *= e1.
+    cell of e1 = e(k f), k reduced mod den, is made in its block by
+    `_phases`, and its powers by z *= e1.
     """
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
         raise ValueError(f"K = {K} exceeds the Fourier limit {MAX_SUMS // H} (K * horizons <= {MAX_SUMS})")
+    k = _frequency(k, x.den)
     fracs = orbit_fracs(x, a, b, max(horizons))
 
     def powers(s: int, e: int) -> Iterable[np.ndarray]:
-        e1 = np.exp(1j * k * (tau * fracs[s:e]))
+        e1 = _phases(fracs[s:e], k)
         z = e1.copy()
         for j in range(K):
             if j:
@@ -148,7 +218,7 @@ def invariance_defect(
     c, o = (a, b) if map_choice == "a" else (b, a)
     first = _residue_rows(x, c, o, N)(0, 1)[0]  # row 0 of the grid: the o-orbit of x
     rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
-    last, plain = np.exp(1j * k * (tau * rows.astype(float))).sum(axis=1)
+    last, plain = _phases(rows.astype(float), _frequency(k, x.den)).sum(axis=1)
     return abs(last - plain) / N**2
 
 

@@ -277,6 +277,10 @@ def orbit_reference(a: int, b: int, x: str, N: int) -> list[list[str]]:
         (2, 3, f"{10**17 + 3}/{2**61 - 1}", 9),  # den = 2^61 - 1: object rows
         (2, 3, "0", 4),
         (2, 3, "1/-3", 4),  # a negative denominator, as TorusPoint.parse takes it
+        # more rows than one block (_block_rows(200) = 163): dens coprime to 6 take one join per row
+        (2, 3, "1234567/2147483647", 200),
+        (2, 3, "5/36", 200),
+        (2, 3, "1/216", 200),
     ],
 )
 def test_orbit_stdout_matches_per_cell_reference(capsys, monkeypatch, a, b, x, N):
@@ -434,6 +438,9 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         # the itinerary record and its line hold every label
         (["itinerary", "-a", "2", "-x", "1/7", "-d", "1", "-M", "1", "-N", "1048577"],
          "N = 1048577 exceeds the itinerary limit 1048576"),
+        # the phase tables take |k mod den| < 2^42, which only den > 2^43 can exceed
+        (["fourier", "-a", "2", "-b", "3", "-x", f"3/{2**61 - 1}", "-N", "5", "-K", str(2**50)],
+         f"-K {2**50} is {2**50} mod the denominator {2**61 - 1}: |k mod den| must be below 2^42"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):

@@ -252,6 +252,71 @@ def test_character_sums_match_exact_phases(num, den, N, horizons, k):
         assert abs(got - want) < 1e-13
 
 
+def test_fourier_average_reduces_k_mod_den_before_the_phase():
+    """k = 123456789012345678901 is -250369 mod 1000003; each cell is then within
+    (6.5 + 2 pi |k'|) 2^-53 of e(k' f), and f within 2^-53 of r / den."""
+    x, N, k = TorusPoint(3, 1000003), 50, 123456789012345678901
+    cells = [pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den for m in range(N) for n in range(N)]
+    got = fourier_average(x, 2, 3, N, k)
+    assert got == fourier_average(x, 2, 3, N, -250369)
+    assert abs(got - exact_phase_sum(cells, x.den, k) / N**2) < (6.5 + 4 * math.pi * 250369) * 2.0**-53 + 1e-15
+
+
+def test_phase_limit_is_announced_before_any_grid(monkeypatch):
+    """|k mod den| < 2^42 keeps the table indices exact; only den > 2^43 can break it."""
+    def no_grid(*args):
+        raise AssertionError("orbit_fracs ran before the limit was checked")
+
+    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    x = TorusPoint(3, 2**61 - 1)
+    for k in (2**42, -(2**42), 2**42 + 7 * x.den):
+        with pytest.raises(ValueError, match=r"^-K -?\d+ is -?4398046511104 mod the denominator 2305843009213693951: "):
+            fourier_average(x, 2, 3, 5, k)
+    with pytest.raises(ValueError, match=r"^-K 4398046511104 is "):
+        invariance_defect(x, 2, 3, 5, 2**42)
+    assert measures._frequency(2**42 - 1, x.den) == 2**42 - 1
+    assert measures._frequency(x.den - 2**42 + 1, x.den) == -(2**42) + 1
+
+
+def test_turn_tables_are_correctly_rounded():
+    """T1[i] = e(i / 2^11) and T2[i] = e(i / 2^22), each component the double nearest a 40-digit value."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for table, bits in ((measures._T1, 11), (measures._T2, 22)):
+            assert table.shape == (2**11,)
+            for i, z in enumerate(table.tolist()):
+                exact = mpmath.expjpi(mpmath.mpf(i) / 2 ** (bits - 1))
+                assert z == complex(float(exact.real), float(exact.imag)), (bits, i)
+
+
+def _near(f: float) -> st.SearchStrategy:
+    """f and its two neighbouring doubles, kept in [0, 1]."""
+    return st.sampled_from([f, min(1.0, math.nextafter(f, 2.0)), max(0.0, math.nextafter(f, -1.0))])
+
+
+PHASE_CELLS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, math.nextafter(1.0, 0.0), 1.0]),
+    st.integers(0, 2**11).flatmap(lambda i: _near(i / 2**11)),  # T1 boundaries
+    st.integers(0, 2**22).flatmap(lambda i: _near(i / 2**22)),  # T2 boundaries
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1, -1, 7, -7, 15, -15, 2**41, -(2**41)]), st.integers(-(2**42) + 1, 2**42 - 1)),
+    st.lists(PHASE_CELLS, min_size=1, max_size=8),
+)
+def test_phases_are_within_the_stated_ulps(k, cells):
+    """Each cell of `_phases` is within (6.5 + 2 pi |k|) 2^-53 of the 40-digit e(k f) of its exact double f."""
+    mpmath = pytest.importorskip("mpmath")
+    got = measures._phases(np.array(cells), k).tolist()
+    with mpmath.workdps(40):
+        for f, z in zip(cells, got):
+            err = abs(mpmath.mpc(z) - mpmath.expjpi(2 * k * mpmath.mpf(f)))
+            assert err <= (6.5 + 2 * math.pi * abs(k)) * 2.0**-53, (k, f)
+
+
 def test_character_sum_limit_is_announced_before_any_grid(monkeypatch):
     """K * len(horizons) <= MAX_SUMS holds at equality; one more is refused before orbit_fracs runs."""
     x = TorusPoint(1, 7)
@@ -369,6 +434,10 @@ def _generated(gens: tuple[int, ...], q: int) -> set[int]:
         (49, 1, 49, 42, Fraction(1)),
         (77, 2, 11, 30, Fraction(-1, 6)),
         (91, 1, 1, 12, Fraction(1, 72)),
+        # k reduced mod q first: k tau f at these k keeps no bit of the phase
+        (7, 1, 1 + 7 * 10**30, 6, Fraction(-1, 6)),
+        (11, 4, -3 - 11 * 10**25, 10, Fraction(-1, 10)),
+        (49, 1, 49 * 10**20, 42, Fraction(1)),
     ],
 )
 def test_fourier_average_is_exact_ramanujan_sum(q, p, k, N, want):
