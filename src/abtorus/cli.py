@@ -169,7 +169,7 @@ def _synthesize(args):
     """Schedule and synthesize a point; a ScheduleError reaches `run`."""
     _warn_dependent(args.a, args.b)
     r = _fraction("-r", args.r)
-    family = build_default_family(args.depth)
+    family = irregular.build_test_family(max(args.depth, 1))  # depth < 1 is choose_schedule's error
     sched = irregular.choose_schedule(args.a, args.b, r, args.depth, family, seed=args.seed)
     word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
     return word, recipe, family
@@ -263,10 +263,6 @@ _COMMANDS = {
         ("-U", None, "interval as lo,hi (rationals)"), "--horizons",
     )),
 }
-
-
-def build_default_family(depth: int) -> tuple[irregular.TrigTestFunction, ...]:
-    return irregular.build_test_family(max(depth, 2))
 
 
 def main() -> None:

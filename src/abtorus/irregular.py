@@ -255,10 +255,7 @@ def choose_schedule(
     L_prev = 0
     for k in range(1, depth + 1):
         l_k = modulus_l(k, family, a, b)
-        c = L_prev + l_k
-        N = max(c + 1, k * prev_sum + 1)
-        while 6 * k * (2 * N * c - c * c) >= N * N:
-            N += 1
+        N = _least_N(k, L_prev + l_k, prev_sum)
         best: MeasureEstimate | None = None
         best_N = N
         for attempt in range(_MAX_EXPANSIONS):
@@ -272,15 +269,23 @@ def choose_schedule(
             raise ScheduleError(
                 f"good-set measure condition not met at level {k}", best_N, best
             )
-        L = max(k * (prev_sum + N) + 1, N + 1)
-        while r.numerator * L // r.denominator <= N:
-            L += 1
+        L = _least_L(k, prev_sum, N, r)
         ls.append(l_k)
         Ns.append(N)
         Ls.append(L)
         prev_sum += N + L
         L_prev = L
     return Schedule(a=a, b=b, r=r, l=tuple(ls), N=tuple(Ns), L=tuple(Ls))
+
+
+def _least_N(k: int, c: int, prev_sum: int) -> int:
+    """Least N > c, > k prev_sum with 6k (2Nc - c^2) < N^2: past the larger root 6kc + sqrt(36k^2c^2 - 6kc^2)."""
+    return max(c + 1, k * prev_sum + 1, 6 * k * c + math.isqrt(36 * k * k * c * c - 6 * k * c * c) + 1)
+
+
+def _least_L(k: int, prev_sum: int, N: int, r: Fraction) -> int:
+    """Least L > N, > k (prev_sum + N) with floor(r L) > N, that is r L >= N + 1."""
+    return max(k * (prev_sum + N) + 1, N + 1, -(-(N + 1) * r.denominator // r.numerator))
 
 
 def synthesize_point(

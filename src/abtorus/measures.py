@@ -20,6 +20,7 @@ from .torus import TorusPoint, _block_rows, _Counts, _map_rows, _residue_rows, _
 TOLERANCE = 0.05
 MAX_BINS = 1 << 20  # the CLI writes ~190 bytes a bin: d = 2^20 peaks at 231 MB and writes 7.3 MB
 MAX_SUMS = 1 << 12  # cap on K * len(horizons), the character row sums kept per orbit row
+MAX_COUNT_CELLS = 1 << 32  # cap on the sum of h^2 over the distinct horizons, the cells the row counts read
 PHASE_LIMIT = 1 << 42  # |k mod den| < 2^42 keeps f |k| 2^11 < 2^53, so the table indices are exact
 _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0  # floor(pi 2^192)
 
@@ -269,6 +270,9 @@ def semiequidist_profile(
     lo, hi = Fraction(target[0]), Fraction(target[1])
     if hi <= lo:
         raise ValueError("empty interval")
+    cells = sum(h * h for h in set(horizons))
+    if cells > MAX_COUNT_CELLS:
+        raise ValueError(f"--horizons would read {cells} cells (h^2 summed over distinct horizons), above the limit 2^32")
     rows, inside = _residue_rows(x, a, b, horizons[-1]), _interval_test(x.den, lo, hi)
     (counts,) = _corner_totals(horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32)  # a row count is <= N
     measure = float(min(hi - lo, Fraction(1)))

@@ -41,8 +41,8 @@ class TorusPoint:
 
     @classmethod
     def parse(cls, text: str) -> "TorusPoint":
-        p, _, q = text.partition("/")
-        return cls(int(p), int(q) if q else 1)
+        p, slash, q = text.partition("/")
+        return cls(int(p), int(q) if slash else 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def mult_indep_check(a: int, b: int) -> bool:
 
 # Cells per block of the orbit kernel: about 2^15 int64 cells (256 KiB), so a
 # block and its temporaries stay in cache.  Residue blocks have
-# `_block_rows(N)` rows; `_digit_fracs` certifies diagonals in blocks of the
-# same size.
+# `_block_rows(N)` rows; `_digit_fracs` certifies diagonals in blocks of
+# about as many digits.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -267,51 +267,42 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     read from digit s on, and cells with s >= K are 0.  Times a is the
     local rule d_i <- a (d_i mod b) + d_{i+1} // b, which never carries
     further and keeps K digits; times b swaps a and b.  The automaton
-    below the diagonal (with the diagonal) and the one above it run as
-    two `_spread` tasks, each writing only its own cells; cells that
-    `_window_fracs` cannot certify are merged from both and recomputed
-    exactly on the calling thread, so the grid is the same at any thread
+    below the diagonal and the one above it run as two `_spread` tasks;
+    both write the main diagonal, with the same values.  Each steps its
+    states in blocks of max(1, _BLOCK_CELLS // (K + 2W)) whole states,
+    writes the cells that `_window_fracs` certifies and recomputes the
+    rest exactly on its own thread, so the grid is the same at any thread
     count.
     """
-    ab = a * b
+    ab, num, den = a * b, x.num, x.den
     W = 1
     while ab ** (W + 1) <= 2**53:
         W += 1
     digits = np.zeros(K + 2 * W, dtype=np.int64)
     digits[:K] = digits_of(x, ab, K).digits
+    R = max(1, _BLOCK_CELLS // len(digits))
     out = np.zeros((N, N))
     flat = out.reshape(-1)
 
-    def automata(first: int, stop: int) -> list[tuple[int, int]]:
-        fallback = []
-        for c, other, below in ((a, b, True), (b, a, False))[first:stop]:
-            j = 0 if below else 1  # the main diagonal is read once
-            state = digits if below else _times(digits, c, other)
-            while j < N:
-                S = min(K, N - j)
-                rows = max(1, min(N - j, _BLOCK_CELLS // (S + 2 * W)))
-                block = np.empty((rows, S + 2 * W), dtype=np.int64)
-                last = np.empty(rows, dtype=np.int64)
-                for i in range(rows):
-                    block[i] = state[: S + 2 * W]
-                    nonzero = np.flatnonzero(state)
-                    last[i] = nonzero[-1] if nonzero.size else -1
-                    state = _times(state, c, other)
-                vals, ok = _window_fracs(block, last, S, ab, W)
-                for i in range(rows):
-                    d = j + i
-                    diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
-                    diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
-                for i, s in zip(*np.nonzero(~ok)):
-                    d, s = j + int(i), int(s)
-                    if s < N - d:
-                        fallback.append((s + d, s) if below else (s, s + d))
-                j += rows
-        return fallback
+    def automaton(c: int, other: int, below: bool) -> None:
+        state = digits
+        for j in range(0, N, R):
+            block = np.empty((min(R, N - j), len(digits)), dtype=np.int64)
+            for i in range(len(block)):
+                block[i] = state
+                state = _times(state, c, other)
+            S = min(K, N - j)
+            vals, ok = _window_fracs(block, S, ab, W)
+            for i, d in enumerate(range(j, j + len(block))):
+                diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
+                diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
+            for i, s in zip(*np.nonzero(~ok)):
+                d, s = j + int(i), int(s)
+                if s < N - d:
+                    m, n = (s + d, s) if below else (s, s + d)
+                    out[m, n] = pow(a, m, den) * pow(b, n, den) * num % den / den
 
-    for part in _spread(automata, 2, 1):
-        for m, n in part:
-            out[m, n] = pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den / x.den
+    _spread(lambda i, _: automaton(*((a, b, True), (b, a, False))[i]), 2, 1)
     return out
 
 
@@ -328,18 +319,19 @@ _SPLIT = 134217729.0
 _U = 2.0**-53
 
 
-def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int):
+def _window_fracs(block: np.ndarray, S: int, ab: int, W: int):
     """Correctly rounded values of the digit tails at shifts s < S, and which are certified.
 
-    Row i of `block` holds digits 0 .. S+2W-1 of one state and `last[i]` is
-    the index of its last nonzero digit.  With C = (ab)^W <= 2^53, v1 and
-    v2 the W-digit windows at s and s + W and t in [0, 1) the digits after
-    them, the cell is y = (v1 + (v2 + t)/C) / C.  For v1 >= 1 the candidate
-    f = f0 + rho/C takes rho = v1 + v2/C - f0 C from a Dekker two-product;
-    f is certified when every rounding and t leave y - f strictly inside
-    half the gap below f, so f is the double nearest y.  A cell with only
-    zero digits comes out exactly 0.  Near-ties, and v1 = 0 over nonzero
-    digits, stay uncertified.
+    Each row of `block` holds every digit of one state, at least S + 2W of
+    them; one reverse argmax per block finds each row's last nonzero digit.
+    With C = (ab)^W <= 2^53, v1 and v2 the W-digit windows at s and s + W
+    and t in [0, 1) the digits after them, the cell is y = (v1 + (v2 + t)/C)
+    / C.  For v1 >= 1 the candidate f = f0 + rho/C takes rho = v1 + v2/C -
+    f0 C from a Dekker two-product; f is certified when every rounding and
+    t leave y - f strictly inside half the gap below f, so f is the double
+    nearest y.  A cell with only zero digits comes out exactly 0.
+    Near-ties, and v1 = 0 over nonzero digits, stay uncertified: the caller
+    recomputes them exactly.
     """
     V = block[:, : S + W].copy()
     for i in range(1, W):
@@ -371,6 +363,8 @@ def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int):
     # errors are below u((q + |resid| + |rho|)/C + |delta|), and the factor 16
     # also covers the roundings of the comparisons below.
     bound = 16 * _U * (gap + (q + np.abs(resid) + np.abs(rho)) / C + np.abs(delta))
+    nonzero = block[:, ::-1] != 0
+    last = np.where(nonzero.any(axis=1), block.shape[1] - 1 - nonzero.argmax(axis=1), -1)
     tail = np.arange(S) + 2 * W <= last[:, None]
     t_max = float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)
     ok = (v1 > 0) & (r2 + half > bound) & (half - r2 - tail * t_max > bound)

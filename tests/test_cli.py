@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import TorusPoint, irregular, torus
-from abtorus.cli import build_default_family, build_parser, mult_indep_check, run
+from abtorus.cli import build_parser, mult_indep_check, run
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
 GOLDEN_EXAMPLES = json.loads((Path(__file__).parent / "golden" / "readme_examples.json").read_text())
@@ -441,6 +441,13 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         # the phase tables take |k mod den| < 2^42, which only den > 2^43 can exceed
         (["fourier", "-a", "2", "-b", "3", "-x", f"3/{2**61 - 1}", "-N", "5", "-K", str(2**50)],
          f"-K {2**50} is {2**50} mod the denominator {2**61 - 1}: |k mod den| must be below 2^42"),
+        # a slash needs a denominator after it
+        (["fourier", "-a", "2", "-b", "3", "-x", "3/", "-N", "2", "-K", "1"],
+         "-x value '3/' is not p or p/q with integers p and q != 0"),
+        # the interval counts read h^2 cells per distinct horizon, checked before any grid
+        (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "0,1/2",
+          "--horizons", ",".join(map(str, range(8126, 8193)))],
+         f"--horizons would read {sum(h * h for h in range(8126, 8193))} cells (h^2 summed over distinct horizons), above the limit 2^32"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):
@@ -455,11 +462,6 @@ def test_itinerary_with_one_symbol_and_long_blocks_finishes():
     proc = subprocess.run([sys.executable, "-m", "abtorus", *argv], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["indices"] == [1] * 100000
-
-
-def test_default_family_depth():
-    assert len(build_default_family(1)) == 2
-    assert len(build_default_family(3)) == 3
 
 
 def test_python_dash_m_entry_points():

@@ -226,6 +226,36 @@ def test_schedule_depth_two_inequalities(schedule_d2):
         L_prev = L_k
 
 
+def least_N_by_steps(k, c, prev_sum):
+    """The first horizon of a level by counting up, from the schedule's lower bounds."""
+    N = max(c + 1, k * prev_sum + 1)
+    while 6 * k * (2 * N * c - c * c) >= N * N:
+        N += 1
+    return N
+
+
+def least_L_by_steps(k, prev_sum, N, r):
+    L = max(k * (prev_sum + N) + 1, N + 1)
+    while r.numerator * L // r.denominator <= N:
+        L += 1
+    return L
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 300),
+    st.integers(0, 10**4),
+    st.integers(0, 10**3),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda r: 0 < r < 1),
+)
+def test_closed_form_horizons_match_counting_up(k, c, prev_sum, grow, r):
+    N = irregular._least_N(k, c, prev_sum)
+    assert N == least_N_by_steps(k, c, prev_sum)
+    N += grow  # the Monte Carlo search may raise N before L is chosen
+    assert irregular._least_L(k, prev_sum, N, r) == least_L_by_steps(k, prev_sum, N, r)
+
+
 def test_schedule_unreachable_measure_reports_best(monkeypatch):
     fam = build_test_family(1)
     monkeypatch.setattr(irregular, "_SAMPLES", 100)

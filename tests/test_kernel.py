@@ -258,6 +258,27 @@ def test_digit_path_matches_residues(word, N):
     check_against_residues(x, a, b, N)
 
 
+# (3, 2): the power of 2 in den falls by one per step below the diagonal and the
+# power of 3 above it, so the last nonzero digit moves.  The last point has K = 135
+# digits, more than N = 30, and a 70-digit zero run: its first windows are all zero,
+# and only digits past the first S + 2W = 70 make their cells nonzero.
+@pytest.mark.parametrize(
+    "x, N",
+    [
+        (TorusPoint(1, 2**40), 50),
+        (TorusPoint(7, 2**35 * 3**5), 50),
+        (TorusPoint(3**50 - 1, 2**3 * 3**50), 60),
+        (point_of_word(DigitWord(6, [4, 1, 5, 2, 3] + [0] * 70 + [1, 3, 5, 2, 4] * 12)), 30),
+    ],
+)
+@pytest.mark.parametrize("states", [0, 3])  # _BLOCK_CELLS = 1, and blocks of 3 whole states
+def test_digit_blocks_of_whole_states_match_residues(monkeypatch, x, N, states):
+    K = _digit_length(x, 3, 2)
+    assert K
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", max(1, states * (K + 40)))  # 2W = 40 digits in base 6
+    check_against_residues(x, 3, 2, N)
+
+
 def test_digit_length_rule():
     assert _digit_length(TorusPoint(1, 6**40), 2, 3) == 40
     assert _digit_length(TorusPoint(1, 2**40 * 3), 2, 3) == 40

@@ -149,6 +149,24 @@ def test_semiequidist_rejects_bad_input():
         semiequidist_profile(TorusPoint(0, 1), 2, 3, (0, Fraction(1, 2)), [10], 1.5)
 
 
+# 5739^2 + 93^2 + 5^2 + 2^2 + 1^2 + 8129^2 + ... + 8192^2 = 2^32; a repeat reads no more cells.
+AT_COUNT_LIMIT = [1, 2, 5, 93, 5739, *range(8129, 8193), 8192]
+
+
+@pytest.mark.parametrize("horizons, rejected", [(AT_COUNT_LIMIT, False), (sorted(AT_COUNT_LIMIT + [3]), True)])
+def test_semiequidist_bounds_the_counted_cells_before_any_grid(monkeypatch, horizons, rejected):
+    class NoGrid(Exception):
+        pass
+
+    def no_grid(*args):
+        raise NoGrid
+
+    monkeypatch.setattr(measures, "_residue_rows", no_grid)
+    expected = pytest.raises(ValueError, match=f"--horizons would read {2**32 + 9} cells") if rejected else pytest.raises(NoGrid)
+    with expected:
+        semiequidist_profile(TorusPoint(1, 7), 2, 3, (0, Fraction(1, 2)), horizons, 0.5)
+
+
 @pytest.mark.parametrize("horizons", [[0, 5], [-3, 5], [0]])
 def test_nonpositive_horizons_rejected(horizons):
     x = TorusPoint(1, 7)

@@ -92,7 +92,7 @@ def character_sums(x, N, horizons):
 
 
 def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool):
-    """With no cell certified, every cell below and above the diagonal comes from the merged fallback lists."""
+    """With no cell certified, each automaton recomputes every cell of its triangle exactly."""
     window = torus._window_fracs
 
     def certify_none(*args):
