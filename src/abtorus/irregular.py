@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .moran import MoranStructure
-from .torus import DigitWord, TorusPoint, _block_rows, _Counts, _spread, digits_of, orbit_fracs, point_of_word
+from .torus import MAX_SIDE, DigitWord, TorusPoint, _block_rows, _Counts, _spread, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
@@ -239,7 +239,9 @@ def choose_schedule(
 
     plus the Monte Carlo requirement that the good-set measure estimate
     exceeds r at 95% confidence; then L_k is minimal with
-    floor(r L_k) > N_k and k * (sum_{i<k}(N_i + L_i) + N_k) < L_k.
+    floor(r L_k) > N_k and k * (sum_{i<k}(N_i + L_i) + N_k) < L_k.  Each
+    N_k tried, and its L_k, must be grid sides of at most MAX_SIDE: a
+    larger one is rejected before its Monte Carlo estimate.
     """
     r = Fraction(r)
     if depth < 1:
@@ -259,6 +261,10 @@ def choose_schedule(
         best: MeasureEstimate | None = None
         best_N = N
         for attempt in range(_MAX_EXPANSIONS):
+            L = _least_L(k, prev_sum, N, r)
+            for name, side in (("N", N), ("L", L)):
+                if side > MAX_SIDE:
+                    raise ValueError(f"-r {r} --depth {depth} needs {name}_{k} = {side} at level {k}, above the grid side limit {MAX_SIDE}")
             est = estimate_X_measure(k, N, family, a, b, seed + 7919 * k + attempt)
             if best is None or est.value > best.value:
                 best, best_N = est, N
@@ -269,7 +275,6 @@ def choose_schedule(
             raise ScheduleError(
                 f"good-set measure condition not met at level {k}", best_N, best
             )
-        L = _least_L(k, prev_sum, N, r)
         ls.append(l_k)
         Ns.append(N)
         Ls.append(L)

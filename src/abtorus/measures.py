@@ -14,13 +14,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _block_rows, _Counts, _map_rows, _residue_rows, _spread, orbit_fracs
+from .torus import TorusPoint, _block_rows, _check_grid, _Counts, _map_rows, _residue_rows, _spread, orbit_fracs
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
 MAX_BINS = 1 << 20  # the CLI writes ~190 bytes a bin: d = 2^20 peaks at 231 MB and writes 7.3 MB
 MAX_SUMS = 1 << 12  # cap on K * len(horizons), the character row sums kept per orbit row
-MAX_COUNT_CELLS = 1 << 32  # cap on the sum of h^2 over the distinct horizons, the cells the row counts read
+MAX_COUNT_CELLS = 1 << 32  # cap on the cells read: h^2 summed over the distinct horizons, times K for character sums
 PHASE_LIMIT = 1 << 42  # |k mod den| < 2^42 keeps f |k| 2^11 < 2^53, so the table indices are exact
 _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0  # floor(pi 2^192)
 
@@ -185,6 +185,10 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
         raise ValueError(f"K = {K} exceeds the Fourier limit {MAX_SUMS // H} (K * horizons <= {MAX_SUMS})")
+    _check_grid(a, b, max(horizons))  # a side past MAX_SIDE is named first
+    powers_read = K * sum(h * h for h in set(horizons))
+    if powers_read > MAX_COUNT_CELLS:
+        raise ValueError(f"-K {K} would sum {powers_read} cell powers (K times h^2 summed over distinct horizons), above the limit 2^32")
     k = _frequency(k, x.den)
     fracs = orbit_fracs(x, a, b, max(horizons))
 

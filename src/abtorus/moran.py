@@ -139,7 +139,8 @@ class DimensionPair:
 
 _BURN_IN = 10
 _BUDGET = 10**6  # most intervals a realization may hold
-_MAX_DEPTH = 10**4  # deepest realization: numerators grow with depth, so cost is quadratic in it
+_MAX_DEPTH = 10**4  # deepest realization: Python-int numerators grow with depth, so that cost is quadratic in it
+_INT64_LIMIT = 2**63  # an int64 lattice holds every product below this
 
 
 def moran_dims(struct: MoranStructure, K: int) -> DimensionPair:
@@ -188,7 +189,9 @@ def moran_dims(struct: MoranStructure, K: int) -> DimensionPair:
 
 @dataclass(frozen=True)
 class Realization:
-    lefts: np.ndarray  # ascending Python-int numerators of the left endpoints over den
+    # ascending numerators of the left endpoints over den, each with
+    # left + length <= den: int64 when den < 2^63, Python ints otherwise
+    lefts: np.ndarray
     length: int  # numerator of the length every interval shares
     den: int
 
@@ -201,20 +204,26 @@ def realize_intervals(struct: MoranStructure, depth: int) -> Realization:
 
     Children sit flush against the parent's left edge, so nesting,
     disjoint interiors and the exact ratio condition hold by
-    construction.  Depth 0 is the single interval [0, 1).
+    construction.  Depth 0 is the single interval [0, 1).  The lattice is
+    int64 when den < 2^63, as every left * q + j * length * p is a left
+    endpoint below den, and Python ints otherwise.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the limit {_MAX_DEPTH}")
-    lefts, length, den = np.zeros(1, dtype=object), 1, 1
+    count, den = 1, 1
     for k in range(1, depth + 1):
         n, c = struct.term(k)
-        if len(lefts) * n > _BUDGET:
+        if count * n > _BUDGET:
             raise ValueError(f"interval budget {_BUDGET} exceeded at depth {k}")
-        lefts = (lefts[:, None] * c.denominator + np.arange(n, dtype=object) * length * c.numerator).ravel()
+        count, den = count * n, den * c.denominator
+    dtype = np.int64 if den < _INT64_LIMIT else object
+    lefts, length = np.zeros(1, dtype=dtype), 1
+    for k in range(1, depth + 1):
+        n, c = struct.term(k)
+        lefts = (lefts[:, None] * c.denominator + np.arange(n, dtype=dtype) * length * c.numerator).ravel()
         length *= c.numerator
-        den *= c.denominator
     return Realization(lefts, length, den)
 
 
@@ -223,6 +232,8 @@ def box_counting_estimate(intervals: Realization, scales: list[Fraction]) -> flo
 
     N(eps) counts half-open grid boxes [i*eps, (i+1)*eps) meeting some
     interval; for eps = u/v those are boxes floor(left*v/(den*u)) to ceil(right*v/(den*u)) - 1.
+    They are computed in int64 when den*v < 2^63 bounds every product and
+    len*(v+1) bounds the summed box counts, and in Python ints otherwise.
     """
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
@@ -234,12 +245,15 @@ def box_counting_estimate(intervals: Realization, scales: list[Fraction]) -> flo
             raise ValueError("scales must lie in (0, 1)")
     xs, ys = [], []
     for eps in scales:
-        box = intervals.den * eps.numerator
-        first = intervals.lefts * eps.denominator // box
-        last = -(-(intervals.lefts + intervals.length) * eps.denominator // box) - 1
-        shared = int(np.count_nonzero(first[1:] == last[:-1]))  # only end boxes; int: counts pass 2^63
+        u, v = eps.numerator, eps.denominator
+        fits = intervals.den * v < _INT64_LIMIT and len(intervals) * (v + 1) < _INT64_LIMIT
+        lefts = intervals.lefts.astype(np.int64 if fits else object, copy=False)
+        box = intervals.den * u
+        first = lefts * v // box
+        last = -(-(lefts + intervals.length) * v // box) - 1
+        shared = int(np.count_nonzero(first[1:] == last[:-1]))  # only end boxes
         xs.append(-_log_fraction(eps))
-        ys.append(math.log((last - first + 1).sum() - shared))
+        ys.append(math.log(int((last - first + 1).sum()) - shared))  # ints: counts pass 2^63
     if len(set(xs)) < 2:  # distinct scales within an ulp of each other share one float log
         raise ValueError("degenerate regression: scales with equal float logarithms")
     x_bar = sum(xs) / len(xs)

@@ -448,6 +448,14 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         (["equidist", "-a", "2", "-b", "3", "-x", "1/7", "-t", "0.5", "-U", "0,1/2",
           "--horizons", ",".join(map(str, range(8126, 8193)))],
          f"--horizons would read {sum(h * h for h in range(8126, 8193))} cells (h^2 summed over distinct horizons), above the limit 2^32"),
+        # a schedule side past the grid limit is rejected before its search or any synthesis
+        (["verify-irregular", "-a", "2", "-b", "3", "-r", "1/20", "--depth", "2"],
+         "-r 1/20 --depth 2 needs N_2 = 11322 at level 2, above the grid side limit 8192"),
+        (["synth-irregular", "-a", "2", "-b", "3", "-r", "1/1000", "--depth", "1"],
+         "-r 1/1000 --depth 1 needs L_1 = 24000 at level 1, above the grid side limit 8192"),
+        # the character sums raise every cell to K powers, checked before any grid
+        (["empirical", "-a", "2", "-b", "3", "-x", "1/7", "-N", "8192", "-K", "4096"],
+         f"-K 4096 would sum {4096 * 8192**2} cell powers (K times h^2 summed over distinct horizons), above the limit 2^32"),
     ],
 )
 def test_out_of_range_input_exit_one(capsys, argv, message):

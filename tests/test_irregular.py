@@ -279,6 +279,26 @@ def test_schedule_error_best_N_is_where_the_best_estimate_was_taken(monkeypatch)
     assert reported[0] == reported[1]
 
 
+@pytest.mark.parametrize(
+    "r, depth, growth, rejected, searched",
+    [
+        (Fraction(1, 20), 2, 1.3, "N_2 = 11322 at level 2", [(1, 23)]),  # L_1 = 480 makes N_2 large
+        (Fraction(1, 1000), 1, 1.3, "L_1 = 24000 at level 1", []),  # L_1 >= 1000 (N_1 + 1)
+        (Fraction(99, 100), 1, 400.0, "N_1 = 9200 at level 1", [(1, 23)]),  # an expanded N_1
+    ],
+)
+def test_schedule_rejects_a_side_past_the_grid_limit_before_its_search(monkeypatch, r, depth, growth, rejected, searched):
+    """A level's N_k or L_k above MAX_SIDE is an error before that N_k is estimated, naming -r and --depth."""
+    estimated = []
+    estimate = irregular.estimate_X_measure
+    monkeypatch.setattr(irregular, "estimate_X_measure", lambda *args: estimated.append(args[:2]) or estimate(*args))
+    monkeypatch.setattr(irregular, "_GROWTH", growth)
+    message = f"-r {r} --depth {depth} needs {rejected}, above the grid side limit 8192"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        choose_schedule(2, 3, r, depth, build_test_family(depth), seed=0)
+    assert estimated == searched
+
+
 def test_synthesized_word_blocks(schedule_d2, synth_d2, family2):
     word, recipe = synth_d2
     sched = schedule_d2

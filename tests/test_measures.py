@@ -153,18 +153,34 @@ def test_semiequidist_rejects_bad_input():
 AT_COUNT_LIMIT = [1, 2, 5, 93, 5739, *range(8129, 8193), 8192]
 
 
+class NoGrid(Exception):
+    pass
+
+
+def no_grid(*args):
+    raise NoGrid
+
+
 @pytest.mark.parametrize("horizons, rejected", [(AT_COUNT_LIMIT, False), (sorted(AT_COUNT_LIMIT + [3]), True)])
 def test_semiequidist_bounds_the_counted_cells_before_any_grid(monkeypatch, horizons, rejected):
-    class NoGrid(Exception):
-        pass
-
-    def no_grid(*args):
-        raise NoGrid
-
     monkeypatch.setattr(measures, "_residue_rows", no_grid)
     expected = pytest.raises(ValueError, match=f"--horizons would read {2**32 + 9} cells") if rejected else pytest.raises(NoGrid)
     with expected:
         semiequidist_profile(TorusPoint(1, 7), 2, 3, (0, Fraction(1, 2)), horizons, 0.5)
+
+
+@pytest.mark.parametrize(
+    "horizons, K, rejected",
+    [(AT_COUNT_LIMIT, 1, False), (AT_COUNT_LIMIT, 2, True), ([8192, 8192], 64, False), ([8192, 8192], 65, True)],
+)
+def test_character_sums_bound_the_cell_powers_before_any_grid(monkeypatch, horizons, K, rejected):
+    """K times h^2 over the distinct horizons may reach 2^32; past it no grid is made."""
+    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    powers = K * sum(h * h for h in set(horizons))
+    assert (powers > 2**32) == rejected
+    expected = pytest.raises(ValueError, match=f"-K {K} would sum {powers} cell powers") if rejected else pytest.raises(NoGrid)
+    with expected:
+        convergence_diagnostic(TorusPoint(1, 7), 2, 3, horizons, K)
 
 
 @pytest.mark.parametrize("horizons", [[0, 5], [-3, 5], [0]])

@@ -44,6 +44,11 @@ def _box_reference(intervals, scales):
             boxes.update(range(i_min, i_max + 1))
         xs.append(math.log(eps.denominator) - math.log(eps.numerator))
         ys.append(math.log(len(boxes)))
+    return _slope(xs, ys)
+
+
+def _slope(xs, ys):
+    """The least-squares slope of `box_counting_estimate`, in the same float steps."""
     x_bar = sum(xs) / len(xs)
     y_bar = sum(ys) / len(ys)
     sxx = sum((x - x_bar) ** 2 for x in xs)
@@ -204,11 +209,15 @@ def test_box_counting_input_validation():
 
 @st.composite
 def realizations_and_scales(draw):
-    """A structure of p/q ratios, explicit or periodic with a preamble, a depth <= 5, and scales.
+    """A structure of p/q ratios, explicit or periodic with a preamble, a depth, and scales.
 
-    The scales mix small-denominator ones (coarse, and down to 1/20000),
-    ones with a denominator v >= 2**63, and multiples and fractions of the
-    interval length, so boxes both hold many intervals and split one.
+    A periodic structure is realized to depth <= 5.  An explicit one ends
+    in a chain of 70 single children of ratio 1/2 or 1/3, so its den lies
+    on either side of 2**63, the bound of the int64 lattice.  The scales
+    mix small-denominator ones (coarse, and down to 1/20000), ones with a
+    denominator v >= 2**63, ones with den * v just below or just above
+    2**63, and multiples and fractions of the interval length, so boxes
+    both hold many intervals and split one.
     """
     counts, ratios = [], []
     for _ in range(draw(st.integers(1, 4))):
@@ -221,14 +230,25 @@ def realizations_and_scales(draw):
         struct = MoranStructure(tuple(counts), tuple(ratios), periodic=True, preamble=preamble)
         depth = draw(st.integers(0, 5))
     else:
+        counts += [1] * 70
+        ratios += [Fraction(1, draw(st.sampled_from([2, 3])))] * 70
         struct = MoranStructure(tuple(counts), tuple(ratios))
-        depth = draw(st.integers(0, len(counts)))
+        depth = draw(st.integers(0, len(counts)) | st.integers(max(0, len(counts) - 40), len(counts)))
     length = math.prod((struct.term(k)[1] for k in range(1, depth + 1)), start=Fraction(1))
-    big = st.integers(2**63, 2**66).flatmap(lambda v: st.builds(Fraction, st.integers(v // 20000, v - 1), st.just(v)))
+    den = math.prod(struct.term(k)[1].denominator for k in range(1, depth + 1))
+
+    def with_denominator(v, m):  # about v / m over v in lowest terms, so at most 20000 boxes across [0, 1)
+        u = max(1, v // m)
+        while math.gcd(u, v) > 1:  # gcd(v - 1, v) = 1 ends the search
+            u += 1
+        return Fraction(u, v)
+
+    edge = [v for v in range((2**63 - 1) // den - 1, (2**63 - 1) // den + 3) if v >= 2]  # den * v < 2^63 up to the second
     scale = st.one_of(
         st.builds(Fraction, st.integers(1, 50), st.integers(51, 20000)),
-        big,
+        st.builds(with_denominator, st.integers(2**63, 2**66), st.integers(2, 20000)),
         st.builds(lambda m, k: length * Fraction(m, k), st.integers(1, 8), st.integers(1, 8)),
+        *([st.builds(with_denominator, st.sampled_from(edge), st.integers(2, 20000))] if edge else []),
     )
     scales = [e for e in draw(st.lists(scale, min_size=3, max_size=6)) if 0 < e < 1]
     assume(len(scales) >= 3 and len(set(scales)) >= 2)
@@ -240,6 +260,7 @@ def realizations_and_scales(draw):
 def test_lattice_realization_and_box_count_match_fraction_reference(case):
     struct, depth, scales = case
     realization = realize_intervals(struct, depth)
+    assert realization.lefts.dtype == (np.int64 if realization.den < 2**63 else object)
     reference = _realize_reference(struct, depth)
     assert endpoints(realization) == reference
     if len({math.log(e.denominator) - math.log(e.numerator) for e in scales}) < 2:
@@ -258,6 +279,16 @@ def test_box_counting_fine_scales_need_no_box_set():
         est = box_counting_estimate(intervals, [Fraction(1, 10**j) for j in exponents])
         assert time.perf_counter() - start < 1.0
         assert est == pytest.approx(1.0, abs=1e-12)
+
+
+def test_box_counts_past_2_63_are_summed_in_python_ints():
+    # Four copies of [0, 1) at eps = 1/v each meet boxes 0 .. v-1 and share no
+    # end box, so N(eps) = 4v.  For v > 2^61 that sum passes 2^63 while every
+    # product stays below it: only the len * (v + 1) bound keeps it exact.
+    stack = Realization(np.zeros(4, dtype=np.int64), 1, 1)
+    vs = [2**62 + 1, 2**61 + 1, 2**60 + 1, 2**59 + 3]
+    want = _slope([math.log(v) for v in vs], [math.log(4 * v) for v in vs])
+    assert box_counting_estimate(stack, [Fraction(1, v) for v in vs]) == want
 
 
 def test_parse_json_form():
