@@ -269,9 +269,7 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     further and keeps K digits; times b swaps a and b.  The automaton
     below the diagonal and the one above it run as two `_spread` tasks;
     both write the main diagonal, with the same values.  Each steps its
-    states in blocks of max(1, _BLOCK_CELLS // (min(K, N) + 2W)) states.
-    A block keeps the S + 2W digits its windows read, S = min(K, N - j),
-    and one flag per state for a nonzero digit past them.  Each automaton
+    states in blocks of max(1, _BLOCK_CELLS // (K + 2W)) whole states,
     writes the cells that `_window_fracs` certifies and recomputes the
     rest exactly on its own thread, so the grid is the same at any thread
     count.
@@ -282,21 +280,19 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
         W += 1
     digits = np.zeros(K + 2 * W, dtype=np.int64)
     digits[:K] = digits_of(x, ab, K).digits
-    R = max(1, _BLOCK_CELLS // (min(K, N) + 2 * W))
+    R = max(1, _BLOCK_CELLS // len(digits))
     out = np.zeros((N, N))
     flat = out.reshape(-1)
 
     def automaton(c: int, other: int, below: bool) -> None:
         state = digits
         for j in range(0, N, R):
-            S = min(K, N - j)
-            block = np.empty((min(R, N - j), S + 2 * W), dtype=np.int64)
-            beyond = np.empty(len(block), dtype=bool)
+            block = np.empty((min(R, N - j), len(digits)), dtype=np.int64)
             for i in range(len(block)):
-                block[i] = state[: S + 2 * W]
-                beyond[i] = np.count_nonzero(state[S + 2 * W :])
+                block[i] = state
                 state = _times(state, c, other)
-            vals, ok = _window_fracs(block, S, ab, W, beyond)
+            S = min(K, N - j)
+            vals, ok = _window_fracs(block, S, ab, W)
             for i, d in enumerate(range(j, j + len(block))):
                 diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
                 diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
@@ -323,12 +319,11 @@ _SPLIT = 134217729.0
 _U = 2.0**-53
 
 
-def _window_fracs(block: np.ndarray, S: int, ab: int, W: int, beyond: np.ndarray):
+def _window_fracs(block: np.ndarray, S: int, ab: int, W: int):
     """Correctly rounded values of the digit tails at shifts s < S, and which are certified.
 
-    Each row of `block` holds the first S + 2W digits of one state, and
-    `beyond` flags the rows with a nonzero digit past them; one reverse
-    argmax per block finds each other row's last nonzero digit.
+    Each row of `block` holds every digit of one state, at least S + 2W of
+    them; one reverse argmax per block finds each row's last nonzero digit.
     With C = (ab)^W <= 2^53, v1 and v2 the W-digit windows at s and s + W
     and t in [0, 1) the digits after them, the cell is y = (v1 + (v2 + t)/C)
     / C.  For v1 >= 1 the candidate f = f0 + rho/C takes rho = v1 + v2/C -
@@ -370,7 +365,7 @@ def _window_fracs(block: np.ndarray, S: int, ab: int, W: int, beyond: np.ndarray
     bound = 16 * _U * (gap + (q + np.abs(resid) + np.abs(rho)) / C + np.abs(delta))
     nonzero = block[:, ::-1] != 0
     last = np.where(nonzero.any(axis=1), block.shape[1] - 1 - nonzero.argmax(axis=1), -1)
-    tail = (np.arange(S) + 2 * W <= last[:, None]) | beyond[:, None]
+    tail = np.arange(S) + 2 * W <= last[:, None]
     t_max = float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)
     ok = (v1 > 0) & (r2 + half > bound) & (half - r2 - tail * t_max > bound)
     return f, ok | (v1 == 0) & (v2 == 0) & ~tail

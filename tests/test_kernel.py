@@ -261,8 +261,7 @@ def test_digit_path_matches_residues(word, N):
 # (3, 2): the power of 2 in den falls by one per step below the diagonal and the
 # power of 3 above it, so the last nonzero digit moves.  The last point has K = 135
 # digits, more than N = 30, and a 70-digit zero run: its first windows are all zero,
-# and only digits past the first S + 2W = 70, which its blocks flag but do not
-# hold, make their cells nonzero.
+# and only digits past the first S + 2W = 70 make their cells nonzero.
 @pytest.mark.parametrize(
     "x, N",
     [
@@ -276,7 +275,7 @@ def test_digit_path_matches_residues(word, N):
 def test_digit_blocks_of_whole_states_match_residues(monkeypatch, x, N, states):
     K = _digit_length(x, 3, 2)
     assert K
-    monkeypatch.setattr(torus, "_BLOCK_CELLS", max(1, states * (min(K, N) + 40)))  # 2W = 40 digits in base 6
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", max(1, states * (K + 40)))  # 2W = 40 digits in base 6
     check_against_residues(x, 3, 2, N)
 
 

@@ -216,7 +216,8 @@ def realizations_and_scales(draw):
     on either side of 2**63, the bound of the int64 lattice.  The scales
     mix small-denominator ones (coarse, and down to 1/20000), ones with a
     denominator v >= 2**63, ones with den * v just below or just above
-    2**63, and multiples and fractions of the interval length, so boxes
+    2**63 (both of the last two at eps about m/20000 for m < 20000), and
+    multiples and fractions of the interval length, so boxes
     both hold many intervals and split one.
     """
     counts, ratios = [], []
@@ -237,8 +238,8 @@ def realizations_and_scales(draw):
     length = math.prod((struct.term(k)[1] for k in range(1, depth + 1)), start=Fraction(1))
     den = math.prod(struct.term(k)[1].denominator for k in range(1, depth + 1))
 
-    def with_denominator(v, m):  # about v / m over v in lowest terms, so at most 20000 boxes across [0, 1)
-        u = max(1, v // m)
+    def with_denominator(v, m):  # about m / 20000 over v in lowest terms, so eps spans (0, 1)
+        u = max(1, v * m // 20000)
         while math.gcd(u, v) > 1:  # gcd(v - 1, v) = 1 ends the search
             u += 1
         return Fraction(u, v)
@@ -246,9 +247,9 @@ def realizations_and_scales(draw):
     edge = [v for v in range((2**63 - 1) // den - 1, (2**63 - 1) // den + 3) if v >= 2]  # den * v < 2^63 up to the second
     scale = st.one_of(
         st.builds(Fraction, st.integers(1, 50), st.integers(51, 20000)),
-        st.builds(with_denominator, st.integers(2**63, 2**66), st.integers(2, 20000)),
+        st.builds(with_denominator, st.integers(2**63, 2**66), st.integers(1, 19999)),
         st.builds(lambda m, k: length * Fraction(m, k), st.integers(1, 8), st.integers(1, 8)),
-        *([st.builds(with_denominator, st.sampled_from(edge), st.integers(2, 20000))] if edge else []),
+        *([st.builds(with_denominator, st.sampled_from(edge), st.integers(1, 19999))] if edge else []),
     )
     scales = [e for e in draw(st.lists(scale, min_size=3, max_size=6)) if 0 < e < 1]
     assume(len(scales) >= 3 and len(set(scales)) >= 2)
