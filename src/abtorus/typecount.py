@@ -15,6 +15,7 @@ from .torus import TorusPoint, _running_products
 
 ENTROPY_TOL = 1e-12  # documented tie tolerance for threshold comparisons
 MAX_PARTS = 500  # cap on min(k, N): count_R's walk recurses once per part; Python allows 1000 frames
+MAX_VISITS = 1 << 20  # cap on the count vectors count_R's walk visits: about 1.5 s on a 2-vCPU host
 # Cap on the (M + 1) d^M Fractions of an itinerary record (q and M decimated
 # distributions); d = 2, M = 15 holds 2^19 and runs in about a second.
 MAX_CHOICES = 1 << 20
@@ -46,6 +47,14 @@ def count_R(k: int, N: int, t: float) -> int:
     with entropy log N - sum c log c / N at most t (ties within ENTROPY_TOL count
     as inside): the multinomial N! / prod c! times the k! / ((k - j)! prod m_v!)
     ways to give the counts to symbols, m_v the number of parts equal to v.
+
+    The walk visits only parts c that can still pass: with the parts so far
+    summing to s in c log c and rem - c = q c + r, the greedy completion
+    (q parts c, then r) majorizes every other in parts <= c, so none exceeds
+    s + (q + 1) c log c + r log r. That grows with c, and a binary search finds
+    the least c it lets through. The bound keeps a float slack, so the count is
+    the same exact integer as the full walk's. More than MAX_VISITS visited
+    vectors is a ValueError naming -K, -N and -t.
     """
     if k < 1 or N < 1 or not t >= 0:
         raise ValueError("need k >= 1, N >= 1, t >= 0")
@@ -54,24 +63,44 @@ def count_R(k: int, N: int, t: float) -> int:
     clogc = [0.0] + [c * math.log(c) for c in range(1, N + 1)]
     log_N = math.log(N)
     bound = t + ENTROPY_TOL
+    # A vector passes when its sum of c log c reaches N (log N - bound); the slack
+    # covers float rounding, so the prune keeps every vector the leaf test accepts.
+    need = N * (log_N - bound) - 1e-9 * (1 + N * log_N)
+    visits = 0
 
     def walk(rem: int, top: int, slots: int, run: int, s: float, weight: int) -> int:
         # k - slots parts so far, the last `run` equal to `top`; s is their sum of
         # c log c, weight their multinomial times arrangements. A next part c <= top
         # leaves rem - c <= (slots - 1) c: with two slots left, the rest is one part.
-        total = 0
-        lo = -(-rem // slots)
+        nonlocal visits
+        lo, hi = -(-rem // slots), min(rem, top) + 1
+        end = hi
+        while lo < hi:  # the least c whose greedy completion reaches need, else end
+            mid = (lo + hi) // 2
+            q, r = divmod(rem - mid, mid)
+            if s + (q + 1) * clogc[mid] + clogc[r] < need:
+                lo = mid + 1
+            else:
+                hi = mid
+        visits += end - lo
+        if visits > MAX_VISITS:
+            raise ValueError(f"count_R visits more than {MAX_VISITS} count vectors at -K {k} -N {N} -t {t}")
+        total = inner = 0  # inner: binom summed over the leaves with r = 1 and rest != c
         binom = math.comb(rem, lo)
-        for c in range(lo, min(rem, top) + 1):
-            r = run + 1 if c == top else 1
+        for c in range(lo, end):
             sc = s + clogc[c]
             rest = rem - c
             if rest and slots > 2:
+                r = run + 1 if c == top else 1
                 total += walk(rest, c, slots - 1, r, sc, weight * binom * slots // r)
             elif log_N - (sc + clogc[rest]) / N <= bound:  # c or rest is the last part
-                total += weight * binom * slots // r // (r + 1 if rest == c else 1)
+                if c == top or rest == c:
+                    r = run + 1 if c == top else 1
+                    total += weight * binom * slots // r // (r + 1 if rest == c else 1)
+                else:
+                    inner += binom
             binom = binom * rest // (c + 1)
-        return total
+        return total + inner * weight * slots
 
     return walk(N, N, k, 0, 0.0, 1)
 

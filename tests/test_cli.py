@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import TorusPoint, irregular, torus
+from abtorus import TorusPoint, irregular, torus, typecount
 from abtorus.cli import build_parser, mult_indep_check, run
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
@@ -456,9 +456,15 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
         # the character sums raise every cell to K powers, checked before any grid
         (["empirical", "-a", "2", "-b", "3", "-x", "1/7", "-N", "8192", "-K", "4096"],
          f"-K 4096 would sum {4096 * 8192**2} cell powers (K times h^2 summed over distinct horizons), above the limit 2^32"),
+        # the count_R walk stops past MAX_VISITS count vectors (1000 here); growth names the horizon that passed it
+        (["count-r", "-K", "10", "-N", "200", "-t", "1.5"],
+         "count_R visits more than 1000 count vectors at -K 10 -N 200 -t 1.5"),
+        (["growth", "-K", "10", "-t", "1.5", "--horizons", "5,200"],
+         "count_R visits more than 1000 count vectors at -K 10 -N 200 -t 1.5"),
     ],
 )
-def test_out_of_range_input_exit_one(capsys, argv, message):
+def test_out_of_range_input_exit_one(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(typecount, "MAX_VISITS", 1000)  # only the count_R walk reads it
     assert capture(capsys, argv) == (1, "", f"error: {message}\n")
 
 

@@ -46,11 +46,16 @@ def _compositions(total, parts):
 
 def composition_count_R(k, N, t):
     """Reference: the multinomial of every composition of N into k parts
-    (ordered counts, zeros allowed) whose entropy is at most t."""
+    (ordered counts, zeros allowed) whose entropy is at most t. It sums c log c
+    over the counts in non-increasing order, as count_R does, so the two
+    compare the same float with t."""
     total = 0
     for comp in _compositions(N, k):
-        h = math.log(N) - sum(c * math.log(c) for c in comp if c) / N
-        if h <= t + ENTROPY_TOL:
+        s = 0.0
+        for c in sorted(comp, reverse=True):
+            if c:
+                s += c * math.log(c)
+        if math.log(N) - s / N <= t + ENTROPY_TOL:
             total += math.factorial(N) // math.prod(math.factorial(c) for c in comp)
     return total
 
@@ -103,6 +108,7 @@ def test_count_R_examples():
     assert count_R(2, 2, 0.0) == 2
     assert count_R(2, 3, 0.64) == 8
     assert count_R(2, 3, 0.5) == 2
+    assert count_R(60, 60, 0.1) == 212460  # types (60) and (59, 1): 60 + 60 * 60 * 59 words
 
 
 def test_count_R_extremes():
@@ -126,17 +132,47 @@ def test_count_R_against_brute_force():
                 assert count_R(k, N, t) == brute_count_R(k, N, t)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 25), st.data())
 def test_count_R_matches_composition_sum(k, N, data):
-    if data.draw(st.booleans(), label="tie"):
+    kind = data.draw(st.sampled_from(["tie", "small", "any"]), label="kind")
+    if kind == "tie":
         # the threshold sits exactly on the entropy of a type class
         cuts = sorted(data.draw(st.lists(st.integers(0, N), min_size=k - 1, max_size=k - 1)))
         counts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, N])]
         t = max(0.0, math.log(N) - sum(c * math.log(c) for c in counts if c) / N)
+    elif kind == "small":  # t <= 0.3 log k, where the walk's bound prunes most vectors
+        t = data.draw(st.floats(0.0, 0.3)) * math.log(k)
     else:
         t = data.draw(st.floats(0.0, math.log(k) + 0.1))
     assert count_R(k, N, t) == composition_count_R(k, N, t)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_count_R_keeps_types_on_the_threshold_to_the_last_ulp(k):
+    """t + ENTROPY_TOL within 2 ulps of a type's entropy, where float rounding decides
+    the leaf test: the walk's bound must keep every vector that test accepts."""
+    for N in range(1, 17):
+        for counts in {tuple(sorted(comp, reverse=True)) for comp in _compositions(N, k)}:
+            s = 0.0
+            for c in counts:
+                if c:
+                    s += c * math.log(c)
+            t = math.log(N) - s / N - ENTROPY_TOL
+            for step in (-2, -1, 0, 1, 2):
+                u = t
+                for _ in range(abs(step)):
+                    u = math.nextafter(u, math.copysign(math.inf, step))
+                if u >= 0:
+                    assert count_R(k, N, u) == composition_count_R(k, N, u), (N, counts, step)
+
+
+@pytest.mark.parametrize("k, N, t, limit", [(60, 60, 0.1, 16), (3, 600, 0.72 * math.log(3), 12000)])
+def test_count_R_walk_stays_under_its_pruned_visit_count(monkeypatch, k, N, t, limit):
+    """Limits just above the pruned walks' 3 and 11,310 visits; the full walks visit
+    more than 2^20 and 30,701, so a walk without the prune fails on its count."""
+    monkeypatch.setattr(typecount, "MAX_VISITS", limit)
+    assert count_R(k, N, t) > 0
 
 
 def test_count_R_alphabet_larger_than_length():
