@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .moran import MoranStructure
-from .torus import MAX_SIDE, DigitWord, TorusPoint, _block_rows, _Counts, _spread, digits_of, orbit_fracs, point_of_word
+from .torus import MAX_SIDE, DigitWord, TorusPoint, _block_rows, _Counts, _row_period, _spread, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
@@ -142,15 +142,23 @@ _BINS = 4096
 _CENTERS = (np.arange(_BINS) + 0.5) / _BINS
 
 
-def _bin_weights(fracs: np.ndarray) -> np.ndarray:
+def _bin_weights(fracs: np.ndarray, P: int) -> np.ndarray:
     """Share of the cells in each bin [j, j+1) / _BINS; a cell equal to 1.0 joins the last.
 
-    Rows are counted in the kernel's blocks of `_spread`, so no N x N
-    temporary is made.
+    Row m of `fracs` must equal row m mod P (P from `torus._row_period`), so
+    only rows [0, P) are counted: N // P times, plus rows [0, N mod P) once
+    more.  Rows are counted in the kernel's blocks of `_spread`, so no
+    N x N temporary is made.
     """
-    counts = _Counts(_BINS + 1)
-    _spread(lambda s, e: counts.add(fracs[s:e] * _BINS), len(fracs), _block_rows(fracs.shape[1]))
-    total = counts.total
+    N = len(fracs)
+
+    def count(rows: int) -> np.ndarray:
+        counts = _Counts(_BINS + 1)
+        if rows:
+            _spread(lambda s, e: counts.add(fracs[s:e] * _BINS), rows, _block_rows(fracs.shape[1]))
+        return counts.total
+
+    total = N // P * count(P) + count(N % P)
     total[_BINS - 1] += total[_BINS]
     return total[:_BINS] / fracs.size
 
@@ -161,7 +169,8 @@ def membership_X(
     """True iff every i <= k orbit average is within 1/(3k) of the Lebesgue integral.
 
     The N x N orbit cells are counted into 4096 bins of [0, 1) (a cell that
-    rounds to 1.0 joins the last bin) and each average is estimated as the
+    rounds to 1.0 joins the last bin), each distinct row once with its
+    multiplicity (see `_bin_weights`), and each average is estimated as the
     bin weights times f at the bin centers.  A cell lies within 1/8192 of
     its center on the circle, so the estimate is within f.lipschitz / 8192
     of the average, plus float error far below 1e-9.  A test whose estimate
@@ -173,7 +182,7 @@ def membership_X(
         raise ValueError("k out of range for the family")
     fracs = orbit_fracs(x, a, b, N)
     tol = 1.0 / (3.0 * k)
-    w = _bin_weights(fracs)
+    w = _bin_weights(fracs, _row_period(x, a, N))
     undecided = False
     for f in family[:k]:
         margin = tol - abs(float(w @ f(_CENTERS)) - f.integral)

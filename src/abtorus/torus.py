@@ -202,7 +202,7 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
     Python ints otherwise.  It yields 2-D arrays of consecutive rows,
     max(1, _BLOCK_CELLS // N) rows each (the last may be shorter), which
     stack to the N x N grid, on the calling thread; the library's N^2
-    consumers read the same blocks on threads through `_map_rows`.  a, b < 2
+    consumers read the same blocks on the `_spread` threads.  a, b < 2
     and N outside 1..MAX_SIDE are rejected at the call; no row is computed
     until its block is read.
     """
@@ -226,21 +226,43 @@ def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
     return [[TorusPoint(r, x.den) for r in row] for blk in blocks for row in blk.tolist()]
 
 
+def _row_period(x: TorusPoint, a: int, N: int) -> int:
+    """Least P < N with a^P x = x, or N if there is none: row m of the grid is then row m mod P.
+
+    A den sharing a factor with a has none (a x has a smaller denominator),
+    so the digit path returns at once.
+    """
+    num, den = x.num, x.den
+    if gcd(den, a) != 1:
+        return N
+    z = num * a % den
+    for P in range(1, N):
+        if z == num:
+            return P
+        z = z * a % den
+    return N
+
+
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
     """Float values r / den of the N x N orbit grid, correctly rounded (within 1/2 ulp).
 
     When den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, the base-ab digit
     automaton of `_digit_fracs` gives the grid with no big-integer
-    arithmetic.  Otherwise each block of `_map_rows`, int64 or object, is
-    divided by den straight into its rows of the grid.  Each cell is the
-    double nearest the exact point, so the paths agree.
+    arithmetic.  Otherwise only the rows before the `_row_period` P are
+    computed: each block of `_residue_rows`, int64 or object, is divided by
+    den straight into its rows of the grid on the `_spread` threads, and
+    every later row m is copied from row m mod P.  Each cell is the double
+    nearest the exact point, so the paths agree.
     """
     _check_grid(a, b, N)  # before either path allocates its grid
     K = _digit_length(x, a, b)
     if K:
         return _digit_fracs(x, a, b, N, K)
     out = np.empty((N, N))
-    _map_rows(x, a, b, N, lambda s, blk: np.divide(blk, x.den, out=out[s : s + len(blk)], casting="unsafe"))
+    rows, P = _residue_rows(x, a, b, N), _row_period(x, a, N)
+    _spread(lambda s, e: np.divide(rows(s, e), x.den, out=out[s:e], casting="unsafe"), P, _block_rows(N))
+    for s in range(P, N, P):  # rows [s, s + P) repeat rows [0, P)
+        out[s : s + P] = out[: min(P, N - s)]
     return out
 
 

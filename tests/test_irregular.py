@@ -24,6 +24,7 @@ from abtorus import (
     orbit_fracs,
     point_of_word,
     synthesize_point,
+    torus,
 )
 from abtorus.irregular import (
     SAMPLE_DEN,
@@ -141,7 +142,7 @@ def test_membership_cell_rounding_to_one_joins_last_bin():
     x = TorusPoint(6**30 - 1, 6**30)
     fracs = orbit_fracs(x, 2, 3, 1)
     assert fracs[0, 0] == 1.0
-    w = _bin_weights(fracs)
+    w = _bin_weights(fracs, torus._row_period(x, 2, 1))
     assert w.shape == (4096,) and w[-1] == 1.0 and w.sum() == 1.0
     fam = build_test_family(4)
     for k in range(1, 5):
@@ -150,7 +151,7 @@ def test_membership_cell_rounding_to_one_joins_last_bin():
 
 def test_bin_weights_count_each_cell_once():
     fracs = np.array([[0.0, 0.5 / 4096], [1 / 4096, 0.999]])
-    w = _bin_weights(fracs)
+    w = _bin_weights(fracs, 2)
     assert w[0] == 0.5 and w[1] == 0.25 and w[int(0.999 * 4096)] == 0.25 and w.sum() == 1.0
 
 

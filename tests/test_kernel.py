@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import DigitWord, TorusPoint, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
+from abtorus.irregular import _bin_weights
 from abtorus.measures import _bin_counts, _interval_test
 from abtorus.torus import _digit_length
 
@@ -169,6 +170,89 @@ def test_residue_blocks_keep_memory_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+# Row periods: 2 has order 3 mod 7, 5 mod 31, 31 mod 2^31 - 1 and 61 mod
+# 2^61 - 1; 3 has order 6 mod 7 and 30 mod 31, and orders past every side
+# here mod the two Mersenne primes.  12, 112 and 6^5 share a factor with a,
+# and 7 * 2^31 with 2, so no row of theirs recurs.  The last two take the
+# big-integer path, the rest the int64 path.
+PERIOD_DENS = [1, 7, 31, 12, 112, 6**5, 2**31 - 1, 2**61 - 1, 7 * 2**31]
+PERIOD_CAP = 121  # a longer period counts as none: N then stays below it
+
+
+def brute_period(x, a, N):
+    """Least P < N with a^P num = num mod den, by pow; N if there is none."""
+    return next((P for P in range(1, N) if pow(a, P, x.den) * x.num % x.den == x.num), N)
+
+
+@st.composite
+def periodic_grids(draw):
+    """(x, a, b, N) with N one of P - 1, P, P + 1, kP, kP + r for the row period P, or N < P."""
+    den = draw(st.sampled_from(PERIOD_DENS))
+    x = TorusPoint(draw(st.one_of(st.just(0), st.just(1), st.integers(0, den - 1))), den)
+    a, b = draw(st.sampled_from([(2, 3), (3, 2)]))
+    P = brute_period(x, a, PERIOD_CAP)
+    if P == PERIOD_CAP:
+        return x, a, b, draw(st.integers(1, 40))
+    k, r = draw(st.integers(2, 3)), draw(st.integers(1, max(1, P - 1)))
+    return x, a, b, draw(st.sampled_from([n for n in (P - 1, P, P + 1, k * P, k * P + r) if n >= 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PERIOD_DENS), st.integers(0, 2**62), st.sampled_from([2, 3, 5, 2**11, 6**5]), st.integers(1, 150))
+def test_row_period_is_the_least_pow_period_capped_at_N(den, num, a, N):
+    x = TorusPoint(num, den)
+    assert torus._row_period(x, a, N) == brute_period(x, a, N)
+
+
+def test_row_period_examples():
+    assert [torus._row_period(TorusPoint(1, den), 2, 100) for den in (7, 31, 2**31 - 1, 2**61 - 1)] == [3, 5, 31, 61]
+    assert torus._row_period(TorusPoint(0, 5), 2, 100) == 1  # 0/1 is fixed
+    assert torus._row_period(TorusPoint(1, 7), 2, 3) == 3  # P = N: no repeat inside the grid
+    assert torus._row_period(TorusPoint(1, 12), 2, 100) == 100  # 2/12 has den 6: never back
+    assert torus._row_period(TorusPoint(1, 6**40), 3, 8192) == 8192  # the digit path
+    assert torus._row_period(TorusPoint(123456789, 1_000_000_007), 2, 8192) == 8192  # order 500000003
+
+
+def pow_fracs(x, a, b, N):
+    """The N x N grid of pow residues over den, each int / int correctly rounded."""
+    apow, bpow = ([pow(c, i, x.den) for i in range(N)] for c in (a, b))
+    return np.array([[am * bn * x.num % x.den / x.den for bn in bpow] for am in apow])
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_grids())
+def test_periodic_rows_equal_the_pow_reference(grid):
+    """Rows computed once and copied equal the correctly rounded pow grid, bit for bit."""
+    x, a, b, N = grid
+    assert np.array_equal(orbit_fracs(x, a, b, N), pow_fracs(x, a, b, N))
+
+
+@pytest.mark.parametrize(
+    "x, a, b, P",
+    [
+        (TorusPoint(5, 2**31 - 1), 2, 3, 31),  # int64
+        (TorusPoint(123456789123, 2**61 - 1), 2, 3, 61),  # big-integer rows
+        (TorusPoint(3, 7), 3, 2, 6),
+    ],
+)
+@pytest.mark.parametrize("N", ["P-1", "P", "P+1", "2P", "2P+r"])
+def test_periodic_rows_at_the_period_edges(x, a, b, P, N):
+    N = {"P-1": P - 1, "P": P, "P+1": P + 1, "2P": 2 * P, "2P+r": 2 * P + P // 2}[N]
+    assert torus._row_period(x, a, N) == min(P, N)
+    assert np.array_equal(orbit_fracs(x, a, b, N), pow_fracs(x, a, b, N))
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_grids())
+def test_bin_weights_of_the_distinct_rows_count_every_cell(grid):
+    """_bin_weights over rows [0, P) with their multiplicities equals one bincount of all N^2 cells."""
+    x, a, b, N = grid
+    fracs = orbit_fracs(x, a, b, N)
+    counts = np.bincount(np.floor(fracs * 4096).astype(np.intp).ravel(), minlength=4097)
+    counts[4095] += counts[4096]
+    assert np.array_equal(_bin_weights(fracs, torus._row_period(x, a, N)), counts[:4096] / N**2)
 
 
 def reference_membership(y: Fraction, lo: Fraction, hi: Fraction) -> bool:

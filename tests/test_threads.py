@@ -16,18 +16,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
-from abtorus.irregular import SAMPLE_DEN, IrregularRecipe, Schedule, _bin_weights
+from abtorus.irregular import IrregularRecipe, Schedule, _bin_weights
 from abtorus.measures import _bin_counts
 from words import random_word
 
 BLOCK_ROWS = 2
 # One point per path of orbit_fracs: int64 (den < 2^31), the base-6 digit
-# automaton (den = 6^40), and big-integer rows (den = 2^61 - 1, prime).
+# automaton (den = 6^40), and big-integer rows (den = 2^61 - 1, prime); and
+# one whose rows repeat with period 3 (2^3 = 1 mod 7), so only rows 0..2 are
+# computed and the rest are copies.
 POINTS = {
     "int64": TorusPoint(2**31 - 2, 2**31 - 1),
     "digit": point_of_word(random_word(6, 40, seed=3)),
     "object": TorusPoint(123456789123, 2**61 - 1),
+    "periodic": TorusPoint(3, 7),
 }
+# An int64 point with no repeated row on the grids below: the order of 2 mod
+# the prime 10^9 + 7 is 500000003.  On den 2^31 - 1 every grid has only 31
+# distinct rows, which fit in one block, so no second thread would start.
+APERIODIC = TorusPoint(123456789, 1_000_000_007)
 
 
 @pytest.fixture
@@ -64,6 +71,7 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
          "above": threads * BLOCK_ROWS + 1, "2R+1": 2 * BLOCK_ROWS + 1}[edge]
     x = POINTS[path]
     assert (torus._digit_length(x, 2, 3) > 0) == (path == "digit")
+    assert (torus._row_period(x, 2, N) < N) == (path == "periodic" and N > 3)
     horizons = [N, 1, N // 2 + 1, N]  # unsorted, with a repeat
     sums = {}  # the character sums in one block of every row
     for t in (1, threads):
@@ -77,7 +85,7 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
         counts = _bin_counts(x, 2, 3, N, 7)
         interval = (Fraction(3, 4), Fraction(6, 5))  # wraps past 1
         ratios = measures.semiequidist_profile(x, 2, 3, interval, sorted(horizons), 0.5).ratios  # the horizon counts
-        results[t] = fracs, _bin_weights(fracs), counts, ratios
+        results[t] = fracs, _bin_weights(fracs, torus._row_period(x, 2, N)), counts, ratios
         assert character_sums(x, N, horizons) == sums[1] == sums[t]
     (one, w_one, c_one, r_one), (many, w_many, c_many, r_many) = results[1], results[threads]
     assert np.array_equal(one, many) and np.array_equal(w_one, w_many)
@@ -115,7 +123,8 @@ def run_forked_grid(conn, x, N):
 
 def test_forked_child_makes_its_own_pool(monkeypatch, fresh_pool):
     monkeypatch.setattr(torus, "_THREADS", 2)
-    x, N = POINTS["int64"], 300  # two blocks of 109 rows and one of 82: two spans
+    x, N = APERIODIC, 300  # two blocks of 109 rows and one of 82: two spans
+    assert torus._row_period(x, 2, N) == N
     grid = orbit_fracs(x, 2, 3, N)
     assert torus._pool is not None
     ctx = multiprocessing.get_context("fork")
@@ -170,7 +179,8 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
         return spread(recorded, *args)
 
     monkeypatch.setattr(measures, "_spread", recorded_spread)
-    x = TorusPoint(123456789, SAMPLE_DEN)
+    x = APERIODIC
+    assert torus._row_period(x, 2, 400) == 400
     assert irregular.membership_X(x, 2, 400, build_test_family(2), 2, 3)
     assert len(workers) == 2  # the int64 rows did run on two threads
     workers.clear()
