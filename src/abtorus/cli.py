@@ -169,7 +169,8 @@ def _synthesize(args):
     """Schedule and synthesize a point; a ScheduleError reaches `run`."""
     _warn_dependent(args.a, args.b)
     r = _fraction("-r", args.r)
-    family = irregular.build_test_family(max(args.depth, 1))  # depth < 1 is choose_schedule's error
+    irregular._least_chain(args.a, args.b, r, args.depth)  # rejects --depth before a family of that many members is built
+    family = irregular.build_test_family(args.depth)
     sched = irregular.choose_schedule(args.a, args.b, r, args.depth, family, seed=args.seed)
     word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
     return word, recipe, family

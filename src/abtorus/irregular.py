@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .measures import _character_sums
 from .moran import MoranStructure
-from .torus import MAX_SIDE, DigitWord, TorusPoint, _block_rows, _Counts, _row_period, _spread, digits_of, orbit_fracs, point_of_word
+from .torus import MAX_SIDE, DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
@@ -136,66 +137,29 @@ def _family_averages(fracs: np.ndarray, family: tuple[TrigTestFunction, ...], k:
     return [float(f(fracs).mean()) for f in family[:k]]
 
 
-# Histogram bins of the membership test: a power of two, so fracs * _BINS
-# and its floor are exact.
-_BINS = 4096
-_CENTERS = (np.arange(_BINS) + 0.5) / _BINS
-
-
-def _bin_weights(fracs: np.ndarray, P: int) -> np.ndarray:
-    """Share of the cells in each bin [j, j+1) / _BINS; a cell equal to 1.0 joins the last.
-
-    Row m of `fracs` must equal row m mod P (P from `torus._row_period`), so
-    only rows [0, P) are counted: N // P times, plus rows [0, N mod P) once
-    more.  Rows are counted in the kernel's blocks of `_spread`, so no
-    N x N temporary is made.
-    """
-    N = len(fracs)
-
-    def count(rows: int) -> np.ndarray:
-        counts = _Counts(_BINS + 1)
-        if rows:
-            _spread(lambda s, e: counts.add(fracs[s:e] * _BINS), rows, _block_rows(fracs.shape[1]))
-        return counts.total
-
-    total = N // P * count(P) + count(N % P)
-    total[_BINS - 1] += total[_BINS]
-    return total[:_BINS] / fracs.size
-
-
 def membership_X(
     x: TorusPoint, k: int, N: int, family: tuple[TrigTestFunction, ...], a: int, b: int
 ) -> bool:
     """True iff every i <= k orbit average is within 1/(3k) of the Lebesgue integral.
 
-    The N x N orbit cells are counted into 4096 bins of [0, 1) (a cell that
-    rounds to 1.0 joins the last bin), each distinct row once with its
-    multiplicity (see `_bin_weights`), and each average is estimated as the
-    bin weights times f at the bin centers.  A cell lies within 1/8192 of
-    its center on the circle, so the estimate is within f.lipschitz / 8192
-    of the average, plus float error far below 1e-9.  A test whose estimate
-    clears 1/(3k) by that slack is decided from it; if none fails and one
-    is undecided, every test is recomputed from `_family_averages`.  The
-    answer is the reference decision on the averages, every call.
+    A member eta + (1 - eta)(1 + cos or sin 2 pi j x) / 2 averages to
+    eta + (1 - eta)(1 + Re or Im S_j) / 2 over the N x N grid, S_j the
+    mean of e(j f) over its cells: the character sums of
+    `measures._character_sums`, made from the turn tables of `_phases`.
+    They differ from the `np.cos` and `np.sin` averages of
+    `_family_averages` by float error alone, so the decision is theirs
+    unless an average sits that close to the threshold.
     """
     if k < 1 or k > len(family):
         raise ValueError("k out of range for the family")
-    fracs = orbit_fracs(x, a, b, N)
+    members = family[:k]
+    S = _character_sums(x, a, b, [N], max(f.freq for f in members))[:, 0] / N**2
     tol = 1.0 / (3.0 * k)
-    w = _bin_weights(fracs, _row_period(x, a, N))
-    undecided = False
-    for f in family[:k]:
-        margin = tol - abs(float(w @ f(_CENTERS)) - f.integral)
-        slack = f.lipschitz / (2 * _BINS) + 1e-9
-        if margin < -slack:
+    for f in members:
+        trig = S[f.freq - 1].real if f.kind == "cos" else S[f.freq - 1].imag
+        if abs(f.eta + (1.0 - f.eta) * (1.0 + trig) / 2.0 - f.integral) >= tol:
             return False
-        undecided |= margin <= slack
-    if not undecided:
-        return True
-    return all(
-        abs(avg - f.integral) < tol
-        for avg, f in zip(_family_averages(fracs, family, k), family)
-    )
+    return True
 
 
 def estimate_X_measure(
@@ -250,30 +214,22 @@ def choose_schedule(
     exceeds r at 95% confidence; then L_k is minimal with
     floor(r L_k) > N_k and k * (sum_{i<k}(N_i + L_i) + N_k) < L_k.  Each
     N_k tried, and its L_k, must be grid sides of at most MAX_SIDE: a
-    larger one is rejected before its Monte Carlo estimate.
+    larger one is rejected before its Monte Carlo estimate, and first in
+    the least chain of `_least_chain`, before any estimate.
     """
     r = Fraction(r)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0 < r < 1:
-        raise ValueError("r must be in (0, 1)")
-    if depth > len(family):
-        raise ValueError("family too small for the requested depth")
-    ls: list[int] = []
+    ls = _least_chain(a, b, r, depth, family)
     Ns: list[int] = []
     Ls: list[int] = []
     prev_sum = 0  # sum_{i<k} (N_i + L_i)
     L_prev = 0
-    for k in range(1, depth + 1):
-        l_k = modulus_l(k, family, a, b)
+    for k, l_k in enumerate(ls, start=1):
         N = _least_N(k, L_prev + l_k, prev_sum)
         best: MeasureEstimate | None = None
         best_N = N
         for attempt in range(_MAX_EXPANSIONS):
             L = _least_L(k, prev_sum, N, r)
-            for name, side in (("N", N), ("L", L)):
-                if side > MAX_SIDE:
-                    raise ValueError(f"-r {r} --depth {depth} needs {name}_{k} = {side} at level {k}, above the grid side limit {MAX_SIDE}")
+            _check_sides(r, depth, k, N, L)
             est = estimate_X_measure(k, N, family, a, b, seed + 7919 * k + attempt)
             if best is None or est.value > best.value:
                 best, best_N = est, N
@@ -284,12 +240,45 @@ def choose_schedule(
             raise ScheduleError(
                 f"good-set measure condition not met at level {k}", best_N, best
             )
-        ls.append(l_k)
         Ns.append(N)
         Ls.append(L)
         prev_sum += N + L
         L_prev = L
     return Schedule(a=a, b=b, r=r, l=tuple(ls), N=tuple(Ns), L=tuple(Ls))
+
+
+def _least_chain(
+    a: int, b: int, r: Fraction, depth: int, family: tuple[TrigTestFunction, ...] | None = None
+) -> list[int]:
+    """l_1 .. l_depth, after checking the sides of the least chain against MAX_SIDE.
+
+    The least chain takes each N_k from `_least_N` and L_k from `_least_L`,
+    with no Monte Carlo growth; the search only raises N_k, so every
+    schedule's sides are at least these.  Level k reads family[:k], or
+    build_test_family(k) if family is None: the sides pass MAX_SIDE within
+    a few levels, so no member past the rejected level is built.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not 0 < r < 1:
+        raise ValueError("r must be in (0, 1)")
+    if family is not None and depth > len(family):
+        raise ValueError("family too small for the requested depth")
+    ls: list[int] = []
+    prev_sum = L = 0
+    for k in range(1, depth + 1):
+        ls.append(modulus_l(k, build_test_family(k) if family is None else family, a, b))
+        N = _least_N(k, L + ls[-1], prev_sum)
+        L = _least_L(k, prev_sum, N, r)
+        _check_sides(r, depth, k, N, L)
+        prev_sum += N + L
+    return ls
+
+
+def _check_sides(r: Fraction, depth: int, k: int, N: int, L: int) -> None:
+    for name, side in (("N", N), ("L", L)):
+        if side > MAX_SIDE:
+            raise ValueError(f"-r {r} --depth {depth} needs {name}_{k} = {side} at level {k}, above the grid side limit {MAX_SIDE}")
 
 
 def _least_N(k: int, c: int, prev_sum: int) -> int:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _block_rows, _check_grid, _Counts, _map_rows, _residue_rows, _spread, orbit_fracs
+from .torus import TorusPoint, _block_rows, _check_grid, _Counts, _map_rows, _residue_rows, _row_period, _spread, orbit_fracs
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
@@ -150,7 +150,7 @@ def _frequency(k: int, den: int) -> int:
 
 
 def _corner_totals(
-    horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype
+    horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype, period: int
 ) -> np.ndarray:
     """totals[p, i]: plane p of the grid summed over its corner m, n < horizons[i], for p < P.
 
@@ -159,10 +159,12 @@ def _corner_totals(
     asked for.  Row m's sum over its first h columns goes into
     rows[p, i, m], one i per distinct horizon; a total is then the sum of
     the first h row sums, so it is the same at any block size, thread count
-    or set of other horizons.
+    or set of other horizons.  Row m of the grid must equal row m mod
+    period (`_row_period`): only rows before the period are read, and the
+    sums of row m are those of row m mod period.
     """
     N, distinct = max(horizons), sorted(set(horizons))
-    rows = np.zeros((P, len(distinct), N), dtype=dtype)
+    rows = np.zeros((P, len(distinct), period), dtype=dtype)
 
     def task(s: int, e: int) -> None:
         for p, plane in enumerate(planes(s, e)):
@@ -170,7 +172,8 @@ def _corner_totals(
                 if s < h:
                     rows[p, i, s : min(e, h)] = plane[: h - s, :h].sum(axis=1)
 
-    _spread(task, N, _block_rows(N))
+    _spread(task, period, _block_rows(N))
+    rows = rows[..., np.arange(N) % period]
     column = {h: i for i, h in enumerate(distinct)}
     return np.array([[rows[p, column[h], :h].sum() for h in horizons] for p in range(P)])
 
@@ -178,9 +181,9 @@ def _corner_totals(
 def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
     """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
 
-    The grid of `orbit_fracs` is read in `_corner_totals` row blocks: each
-    cell of e1 = e(k f), k reduced mod den, is made in its block by
-    `_phases`, and its powers by z *= e1.
+    The grid of `orbit_fracs` is read in `_corner_totals` row blocks, up to
+    its `_row_period`: each cell of e1 = e(k f), k reduced mod den, is made
+    in its block by `_phases`, and its powers by z *= e1.
     """
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
@@ -189,8 +192,8 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     powers_read = K * sum(h * h for h in set(horizons))
     if powers_read > MAX_COUNT_CELLS:
         raise ValueError(f"-K {K} would sum {powers_read} cell powers (K times h^2 summed over distinct horizons), above the limit 2^32")
-    k = _frequency(k, x.den)
-    fracs = orbit_fracs(x, a, b, max(horizons))
+    k, N = _frequency(k, x.den), max(horizons)
+    fracs = orbit_fracs(x, a, b, N)
 
     def powers(s: int, e: int) -> Iterable[np.ndarray]:
         e1 = _phases(fracs[s:e], k)
@@ -200,7 +203,7 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
                 z *= e1
             yield z
 
-    return _corner_totals(horizons, powers, K, complex)
+    return _corner_totals(horizons, powers, K, complex, _row_period(x, a, N))
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
@@ -278,7 +281,8 @@ def semiequidist_profile(
     if cells > MAX_COUNT_CELLS:
         raise ValueError(f"--horizons would read {cells} cells (h^2 summed over distinct horizons), above the limit 2^32")
     rows, inside = _residue_rows(x, a, b, horizons[-1]), _interval_test(x.den, lo, hi)
-    (counts,) = _corner_totals(horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32)  # a row count is <= N
+    period = _row_period(x, a, horizons[-1])
+    (counts,) = _corner_totals(horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32, period)  # a row count is <= N
     measure = float(min(hi - lo, Fraction(1)))
     ratios = [int(c) / N**2 for N, c in zip(horizons, counts)]
     tail = ratios[-max(1, len(ratios) // 4) :]

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -466,6 +467,21 @@ def test_orbit_with_huge_multiplier_is_exact(capsys):
 def test_out_of_range_input_exit_one(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(typecount, "MAX_VISITS", 1000)  # only the count_R walk reads it
     assert capture(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cmd", ["synth-irregular", "verify-irregular"])
+def test_depth_past_the_grid_limit_exits_before_any_search(capsys, monkeypatch, cmd):
+    """The least chain rejects level 3 at once: no Monte Carlo search, and no member past level 3 is built."""
+    searched, built = [], []
+    monkeypatch.setattr(irregular, "estimate_X_measure", lambda *args: searched.append(args))
+    build = irregular.build_test_family
+    monkeypatch.setattr(irregular, "build_test_family", lambda count: built.append(count) or build(count))
+    start = time.perf_counter()
+    result = capture(capsys, [cmd, "-a", "2", "-b", "3", "-r", "1/2", "--depth", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    message = "-r 1/2 --depth 100000000 needs N_3 = 88591 at level 3, above the grid side limit 8192"
+    assert result == (1, "", f"error: {message}\n")
+    assert searched == [] and max(built) <= 3
 
 
 def test_itinerary_with_one_symbol_and_long_blocks_finishes():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abtorus import (
@@ -18,13 +18,13 @@ from abtorus import (
     estimate_X_measure,
     induced_moran_structure,
     irregular,
+    measures,
     membership_X,
     modulus_l,
     moran_dims,
     orbit_fracs,
     point_of_word,
     synthesize_point,
-    torus,
 )
 from abtorus.irregular import (
     SAMPLE_DEN,
@@ -32,7 +32,6 @@ from abtorus.irregular import (
     Schedule,
     ScheduleError,
     TrigTestFunction,
-    _bin_weights,
     _family_averages,
 )
 
@@ -51,8 +50,6 @@ def test_family_values_and_integral():
 
 def test_family_bounds():
     fam = tuple(TrigTestFunction(freq, kind, eta=0.05) for freq, kind in ((1, "cos"), (1, "sin"), (2, "cos")))
-    import numpy as np
-
     xs = np.linspace(0, 1, 1001)
     for f in fam:
         vals = f(xs)
@@ -86,29 +83,20 @@ def reference_membership(x, k, N, family, a, b):
     st.integers(min_value=1, max_value=4),
     st.sampled_from([(2, 3), (3, 2), (2, 5)]),
 )
+# Points whose decision turns if member i reads frequency i + 1 in place of
+# ceil(i/2), each average at least 0.09 from its threshold.
+@example(1133435240, 2, 2, (2, 3))
+@example(1051555289, 3, 2, (2, 5))
+@example(1794745447, 3, 3, (3, 2))
+@example(1879333603, 2, 4, (3, 2))
 def test_membership_matches_reference_decision(num, N, k, ab):
     fam = build_test_family(4)
     x = TorusPoint(num, SAMPLE_DEN)
     assert membership_X(x, k, N, fam, *ab) == reference_membership(x, k, N, fam, *ab)
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the calls of the full-precision `_family_averages`."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _family_averages(*args)
-
-    monkeypatch.setattr(irregular, "_family_averages", spy)
-    return calls
-
-
-# N = 1 points of one bin on both sides of a crossing of |f(x) - integral| = 1/3:
-# the bin-center estimate is within the slack of 1/3, so the call falls back.
-# At eta = 0.03 the crossings sit near the right (0.3706) and left (0.1294)
-# edges of their bins, at eta = 0.01 inside them.
+# N = 1 points 2000 / SAMPLE_DEN on both sides of a crossing of
+# |f(x) - integral| = 1/3, at two floors eta: the decision turns between them.
 @pytest.mark.parametrize(
     "eta, num, expected",
     [
@@ -122,41 +110,24 @@ def fallbacks(monkeypatch):
         (0.01, 284363172, True),
     ],
 )
-def test_membership_falls_back_near_the_threshold(fallbacks, eta, num, expected):
+def test_membership_near_the_threshold(eta, num, expected):
     fam = (TrigTestFunction(1, "cos", eta),)
     x = TorusPoint(num, SAMPLE_DEN)
     assert membership_X(x, 1, 1, fam, 2, 3) is expected
-    assert len(fallbacks) == 1
     assert reference_membership(x, 1, 1, fam, 2, 3) is expected
 
 
-def test_membership_decided_from_histogram_away_from_threshold(fallbacks):
-    fam = build_test_family(2)
-    assert membership_X(TorusPoint(123456789, 1000000007), 2, 60, fam, 2, 3)
-    assert not membership_X(TorusPoint(0, 1), 2, 30, fam, 2, 3)
-    assert fallbacks == []
-
-
-def test_membership_cell_rounding_to_one_joins_last_bin():
+def test_membership_of_a_cell_rounding_to_one():
     # digit path: 1 - 6^-30 rounds to 1.0, which is 0 on the circle
     x = TorusPoint(6**30 - 1, 6**30)
-    fracs = orbit_fracs(x, 2, 3, 1)
-    assert fracs[0, 0] == 1.0
-    w = _bin_weights(fracs, torus._row_period(x, 2, 1))
-    assert w.shape == (4096,) and w[-1] == 1.0 and w.sum() == 1.0
+    assert orbit_fracs(x, 2, 3, 1)[0, 0] == 1.0
     fam = build_test_family(4)
     for k in range(1, 5):
         assert membership_X(x, k, 1, fam, 2, 3) is reference_membership(x, k, 1, fam, 2, 3)
 
 
-def test_bin_weights_count_each_cell_once():
-    fracs = np.array([[0.0, 0.5 / 4096], [1 / 4096, 0.999]])
-    w = _bin_weights(fracs, 2)
-    assert w[0] == 0.5 and w[1] == 0.25 and w[int(0.999 * 4096)] == 0.25 and w.sum() == 1.0
-
-
-def test_membership_and_verify_read_one_orbit_grid(monkeypatch, fallbacks):
-    """One full orbit_fracs grid per membership_X call, fallback or not, and one per verify_irregular."""
+def test_membership_and_verify_read_one_orbit_grid(monkeypatch):
+    """One full orbit_fracs grid per membership_X call, through the character sums, and one per verify_irregular."""
     sides = []
 
     def counted(x, a, b, N):
@@ -164,9 +135,10 @@ def test_membership_and_verify_read_one_orbit_grid(monkeypatch, fallbacks):
         return orbit_fracs(x, a, b, N)
 
     monkeypatch.setattr(irregular, "orbit_fracs", counted)
+    monkeypatch.setattr(measures, "orbit_fracs", counted)
     assert membership_X(TorusPoint(123456789, SAMPLE_DEN), 2, 60, build_test_family(2), 2, 3)
     assert membership_X(TorusPoint(795854012, SAMPLE_DEN), 1, 1, (TrigTestFunction(1, "cos", 0.03),), 2, 3)
-    assert len(fallbacks) == 1 and sides == [60, 1]
+    assert sides == [60, 1]
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(12,))
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
     irregular.verify_irregular(DigitWord(6, tuple(range(6)) * 2), recipe, build_test_family(2))
@@ -283,7 +255,7 @@ def test_schedule_error_best_N_is_where_the_best_estimate_was_taken(monkeypatch)
 @pytest.mark.parametrize(
     "r, depth, growth, rejected, searched",
     [
-        (Fraction(1, 20), 2, 1.3, "N_2 = 11322 at level 2", [(1, 23)]),  # L_1 = 480 makes N_2 large
+        (Fraction(1, 20), 2, 1.3, "N_2 = 11322 at level 2", []),  # L_1 = 480 makes the least N_2 large
         (Fraction(1, 1000), 1, 1.3, "L_1 = 24000 at level 1", []),  # L_1 >= 1000 (N_1 + 1)
         (Fraction(99, 100), 1, 400.0, "N_1 = 9200 at level 1", [(1, 23)]),  # an expanded N_1
     ],

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import DigitWord, TorusPoint, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
-from abtorus.irregular import _bin_weights
-from abtorus.measures import _bin_counts, _interval_test
+from abtorus import DigitWord, TorusPoint, measures, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
+from abtorus.measures import _bin_counts, _character_sums, _interval_test
 from abtorus.torus import _digit_length
 
 # Both sides of the int64/bigint switch (6**30 also passes 2**63), the trivial
@@ -244,15 +243,35 @@ def test_periodic_rows_at_the_period_edges(x, a, b, P, N):
     assert np.array_equal(orbit_fracs(x, a, b, N), pow_fracs(x, a, b, N))
 
 
-@settings(max_examples=200, deadline=None)
-@given(periodic_grids())
-def test_bin_weights_of_the_distinct_rows_count_every_cell(grid):
-    """_bin_weights over rows [0, P) with their multiplicities equals one bincount of all N^2 cells."""
-    x, a, b, N = grid
-    fracs = orbit_fracs(x, a, b, N)
-    counts = np.bincount(np.floor(fracs * 4096).astype(np.intp).ravel(), minlength=4097)
-    counts[4095] += counts[4096]
-    assert np.array_equal(_bin_weights(fracs, torus._row_period(x, a, N)), counts[:4096] / N**2)
+def period_outputs(x, a, b, horizons):
+    """Every output `_corner_totals` makes: the character sums and what is read off them, and the interval counts."""
+    N = max(horizons)
+    return (
+        _character_sums(x, a, b, horizons, 3).tolist(),
+        measures.empirical_measure(x, a, b, N, 5, 4).fourier,
+        measures.convergence_diagnostic(x, a, b, horizons, 4),
+        measures.semiequidist_profile(x, a, b, (Fraction(1, 5), Fraction(7, 10)), sorted(set(horizons)), 0.5).ratios,
+    )
+
+
+@pytest.mark.parametrize(
+    "x, a, b, P",
+    [
+        (TorusPoint(3, 7), 2, 3, 3),
+        (TorusPoint(1, 2**31 - 1), 2, 3, 31),
+        (TorusPoint(1, 2**61 - 1), 2, 3, 61),  # big-integer rows
+        (TorusPoint(1, 3**20), 1 + 3**15, 3, 243),  # the digit path: 1 + 3^15 has order 3^5 mod 3^20
+    ],
+)
+def test_periodic_row_sums_equal_the_sums_of_every_row(monkeypatch, x, a, b, P):
+    """Row sums copied from row m mod P give the totals of every row summed, bit for bit."""
+    horizons = [2 * P + P // 2 + 1, 1, P - 1, P, P + 1, 2 * P, 2 * P - 1]  # below, at and above P, and off its multiples
+    assert torus._row_period(x, a, max(horizons)) == P
+    assert (_digit_length(x, a, b) > 0) == (x.den == 3**20)
+    periodic = period_outputs(x, a, b, horizons)
+    for module in (torus, measures):
+        monkeypatch.setattr(module, "_row_period", lambda x, a, N: N)
+    assert period_outputs(x, a, b, horizons) == periodic
 
 
 def reference_membership(y: Fraction, lo: Fraction, hi: Fraction) -> bool:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
-from abtorus.irregular import IrregularRecipe, Schedule, _bin_weights
+from abtorus.irregular import IrregularRecipe, Schedule
 from abtorus.measures import _bin_counts
 from words import random_word
 
@@ -66,7 +66,7 @@ def test_spans_cover_the_rows_once_at_block_starts(threads, N, R):
 @pytest.mark.parametrize("path", POINTS)
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize("edge", ["below", "at", "above", "2R+1"])
-def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_pool, path, threads, edge):
+def test_grids_and_counts_equal_the_one_thread_result(monkeypatch, fresh_pool, path, threads, edge):
     N = {"below": threads * BLOCK_ROWS - 1, "at": threads * BLOCK_ROWS,
          "above": threads * BLOCK_ROWS + 1, "2R+1": 2 * BLOCK_ROWS + 1}[edge]
     x = POINTS[path]
@@ -85,10 +85,10 @@ def test_grids_and_bin_weights_equal_the_one_thread_result(monkeypatch, fresh_po
         counts = _bin_counts(x, 2, 3, N, 7)
         interval = (Fraction(3, 4), Fraction(6, 5))  # wraps past 1
         ratios = measures.semiequidist_profile(x, 2, 3, interval, sorted(horizons), 0.5).ratios  # the horizon counts
-        results[t] = fracs, _bin_weights(fracs, torus._row_period(x, 2, N)), counts, ratios
+        results[t] = fracs, counts, ratios
         assert character_sums(x, N, horizons) == sums[1] == sums[t]
-    (one, w_one, c_one, r_one), (many, w_many, c_many, r_many) = results[1], results[threads]
-    assert np.array_equal(one, many) and np.array_equal(w_one, w_many)
+    (one, c_one, r_one), (many, c_many, r_many) = results[1], results[threads]
+    assert np.array_equal(one, many)
     assert np.array_equal(c_one, c_many) and r_one == r_many
 
 

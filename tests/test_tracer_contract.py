@@ -64,3 +64,19 @@ def test_tracer_installs_over_the_library_and_uninstalls():
         tracer.uninstall()
     for name, module in MODULES.items():
         assert all(vars(module)[attr] is value for attr, value in before[name].items()), name
+
+
+def test_membership_reads_one_traced_int64_grid():
+    """The irregular oracle counts one int64 orbit_fracs grid of N^2 cells per membership_X call."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer(MODULES, seed=0)
+    tracer.install()
+    try:
+        N = 40
+        irregular.membership_X(TorusPoint(123456789, irregular.SAMPLE_DEN), 2, N, irregular.build_test_family(2), 2, 3)
+        spans = [span for _, _, _, span, _, _ in tracer.spans]
+        assert sorted(spans) == ["irregular.membership_X", "torus.orbit_fracs.int64"]
+        assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == N * N
+        assert tracer.span_totals()["irregular.membership_X"][0] == 1
+    finally:
+        tracer.uninstall()
