@@ -84,6 +84,8 @@ def bump_function(a: int, b: int, r: Fraction) -> BumpFunction:
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError("r must be in (0, 1)")
+    if min(a, b) < 2:  # a b = 1 would never stop the search below
+        raise ValueError("a, b must be >= 2")
     ab = a * b
     l = 1
     while 3 * Fraction(1, ab**l) >= (1 - r) ** 2:
@@ -186,6 +188,8 @@ def modulus_l(k: int, family: tuple[TrigTestFunction, ...], a: int, b: int) -> i
     """Smallest l with lip_max * (ab)^-l < 1/(3k) over the first k family members."""
     if k < 1 or k > len(family):
         raise ValueError("k out of range for the family")
+    if min(a, b) < 2:  # a b = 1 would never stop the search below
+        raise ValueError("a, b must be >= 2")
     lip = max(f.lipschitz for f in family[:k])
     ab = a * b
     l = 1

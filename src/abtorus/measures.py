@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import tau
+from math import fsum, tau
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _block_rows, _check_grid, _Counts, _map_rows, _residue_rows, _row_period, _spread, orbit_fracs
+from .torus import TorusPoint, _bin_counts, _check_grid, _corner_totals, _residue_rows, orbit_fracs
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
@@ -33,7 +33,7 @@ class EmpiricalMeasure:
     N: int
 
     def __post_init__(self):
-        total = sum(self.weights)
+        total = fsum(self.weights)  # sum() of ~10^6 weights can drift past the 1e-12 tolerance
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
         if self.fourier.get(0) != 1:
@@ -55,13 +55,6 @@ class SemiEquidistReport:
     tolerance: float
     verdict: bool
     meta: dict
-
-
-def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
-    """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin floor(r*d/den)."""
-    counts = _Counts(d)
-    _map_rows(x, a, b, N, lambda s, blk: counts.add(blk * d // x.den))
-    return counts.total
 
 
 def empirical_measure(
@@ -149,41 +142,12 @@ def _frequency(k: int, den: int) -> int:
     return r
 
 
-def _corner_totals(
-    horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype, period: int
-) -> np.ndarray:
-    """totals[p, i]: plane p of the grid summed over its corner m, n < horizons[i], for p < P.
-
-    planes(s, e) yields the P planes of grid rows s .. e-1, in the `_spread`
-    row blocks of a max(horizons)-wide grid; each is read before the next is
-    asked for.  Row m's sum over its first h columns goes into
-    rows[p, i, m], one i per distinct horizon; a total is then the sum of
-    the first h row sums, so it is the same at any block size, thread count
-    or set of other horizons.  Row m of the grid must equal row m mod
-    period (`_row_period`): only rows before the period are read, and the
-    sums of row m are those of row m mod period.
-    """
-    N, distinct = max(horizons), sorted(set(horizons))
-    rows = np.zeros((P, len(distinct), period), dtype=dtype)
-
-    def task(s: int, e: int) -> None:
-        for p, plane in enumerate(planes(s, e)):
-            for i, h in enumerate(distinct):
-                if s < h:
-                    rows[p, i, s : min(e, h)] = plane[: h - s, :h].sum(axis=1)
-
-    _spread(task, period, _block_rows(N))
-    rows = rows[..., np.arange(N) % period]
-    column = {h: i for i, h in enumerate(distinct)}
-    return np.array([[rows[p, column[h], :h].sum() for h in horizons] for p in range(P)])
-
-
 def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
     """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
 
     The grid of `orbit_fracs` is read in `_corner_totals` row blocks, up to
     its `_row_period`: each cell of e1 = e(k f), k reduced mod den, is made
-    in its block by `_phases`, and its powers by z *= e1.
+    in its block by `_phases`, and its powers by z *= e1.  K = 0 builds no grid.
     """
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
@@ -193,6 +157,8 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     if powers_read > MAX_COUNT_CELLS:
         raise ValueError(f"-K {K} would sum {powers_read} cell powers (K times h^2 summed over distinct horizons), above the limit 2^32")
     k, N = _frequency(k, x.den), max(horizons)
+    if K == 0:
+        return np.zeros((0, H), dtype=complex)
     fracs = orbit_fracs(x, a, b, N)
 
     def powers(s: int, e: int) -> Iterable[np.ndarray]:
@@ -203,7 +169,7 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
                 z *= e1
             yield z
 
-    return _corner_totals(horizons, powers, K, complex, _row_period(x, a, N))
+    return _corner_totals(x, a, horizons, powers, K, complex)
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
@@ -281,8 +247,7 @@ def semiequidist_profile(
     if cells > MAX_COUNT_CELLS:
         raise ValueError(f"--horizons would read {cells} cells (h^2 summed over distinct horizons), above the limit 2^32")
     rows, inside = _residue_rows(x, a, b, horizons[-1]), _interval_test(x.den, lo, hi)
-    period = _row_period(x, a, horizons[-1])
-    (counts,) = _corner_totals(horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32, period)  # a row count is <= N
+    (counts,) = _corner_totals(x, a, horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32)  # a row count is <= N
     measure = float(min(hi - lo, Fraction(1)))
     ratios = [int(c) / N**2 for N, c in zip(horizons, counts)]
     tail = ratios[-max(1, len(ratios) // 4) :]

@@ -10,7 +10,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -139,19 +139,6 @@ def _spread(task: Callable[[int, int], object], N: int, R: int) -> list:
     return [r for part in (first, *rest) for r in part]
 
 
-class _Counts:
-    """Integer bin counts that `_spread` tasks add to under a lock as each block is counted."""
-
-    def __init__(self, bins: int):
-        self.total = np.zeros(bins, dtype=np.intp)
-        self._lock = threading.Lock()
-
-    def add(self, index: np.ndarray) -> None:
-        block = np.bincount(index.astype(np.intp).ravel(), minlength=len(self.total))
-        with self._lock:
-            self.total += block
-
-
 def _check_grid(a: int, b: int, N: int) -> None:
     """Reject a, b < 2 and N outside 1..MAX_SIDE before any grid is made."""
     if min(a, b) < 2:
@@ -210,12 +197,6 @@ def orbit_residues(x: TorusPoint, a: int, b: int, N: int) -> Iterator[np.ndarray
     return (rows(s, min(s + R, N)) for s in range(0, N, R))
 
 
-def _map_rows(x: TorusPoint, a: int, b: int, N: int, task: Callable[[int, np.ndarray], object]) -> list:
-    """[task(s, residue rows s .. e-1)] over the blocks [s, e) of `_spread`."""
-    rows = _residue_rows(x, a, b, N)
-    return _spread(lambda s, e: task(s, rows(s, e)), N, _block_rows(N))
-
-
 def orbit_grid(x: TorusPoint, a: int, b: int, N: int) -> list[list[TorusPoint]]:
     """The N x N array of points a^m b^n x, read off the blocks of `orbit_residues`.
 
@@ -241,6 +222,51 @@ def _row_period(x: TorusPoint, a: int, N: int) -> int:
             return P
         z = z * a % den
     return N
+
+
+def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
+    """Orbit points per bin [j/d, (j+1)/d): residue r lands in bin floor(r*d/den).
+
+    Each `_spread` block is counted by `np.bincount` and added to one total under a lock.
+    """
+    rows, total, lock = _residue_rows(x, a, b, N), np.zeros(d, dtype=np.intp), threading.Lock()
+
+    def count(s: int, e: int) -> None:
+        block = np.bincount((rows(s, e) * d // x.den).astype(np.intp).ravel(), minlength=d)
+        with lock:
+            np.add(total, block, out=total)
+
+    _spread(count, N, _block_rows(N))
+    return total
+
+
+def _corner_totals(
+    x: TorusPoint, a: int, horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype
+) -> np.ndarray:
+    """totals[p, i]: plane p of the grid of x summed over its corner m, n < horizons[i], for p < P.
+
+    planes(s, e) yields the P planes of grid rows s .. e-1, in the `_spread`
+    row blocks of a max(horizons)-wide grid; each is read before the next is
+    asked for.  Only the rows before the `_row_period` of x under a are
+    asked for: row m's sum over its first h columns, rows[p, i, m] with one
+    i per distinct horizon, is that of row m mod the period.  A total is the
+    sum of the first h row sums, so it is the same at any block size, thread
+    count or set of other horizons.
+    """
+    N, distinct = max(horizons), sorted(set(horizons))
+    period = _row_period(x, a, N)
+    rows = np.zeros((P, len(distinct), period), dtype=dtype)
+
+    def task(s: int, e: int) -> None:
+        for p, plane in enumerate(planes(s, e)):
+            for i, h in enumerate(distinct):
+                if s < h:
+                    rows[p, i, s : min(e, h)] = plane[: h - s, :h].sum(axis=1)
+
+    _spread(task, period, _block_rows(N))
+    rows = rows[..., np.arange(N) % period]
+    column = {h: i for i, h in enumerate(distinct)}
+    return np.array([[rows[p, column[h], :h].sum() for h in horizons] for p in range(P)])
 
 
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,6 +174,30 @@ def test_modulus_l_values():
         l = modulus_l(k, fam, 2, 3)
         assert l >= prev
         prev = l
+
+
+def test_a_b_below_two_are_refused_before_the_l_search():
+    """a b = 1 would never stop the l loops of modulus_l and bump_function, so a, b < 2 are refused first.
+
+    The calls run in a child with a timeout, so a hang fails the test instead of stalling the suite.
+    """
+    src = str(Path(irregular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "from fractions import Fraction\n"
+        "from abtorus import build_test_family, bump_function, choose_schedule, irregular, modulus_l\n"
+        "fam, r = build_test_family(1), Fraction(1, 2)\n"
+        "for call in (lambda: choose_schedule(1, 1, r, 1, fam), lambda: modulus_l(1, fam, 1, 1),\n"
+        "             lambda: bump_function(1, 1, r), lambda: irregular._least_chain(1, 2, r, 1),\n"
+        "             lambda: modulus_l(1, fam, 2, 0), lambda: bump_function(3, -2, r)):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["a, b must be >= 2"] * 6
 
 
 def test_schedule_depth_one_inequalities():

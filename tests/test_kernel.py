@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import DigitWord, TorusPoint, measures, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
-from abtorus.measures import _bin_counts, _character_sums, _interval_test
-from abtorus.torus import _digit_length
+from abtorus.measures import _character_sums, _interval_test
+from abtorus.torus import _bin_counts, _digit_length
 
 # Both sides of the int64/bigint switch (6**30 also passes 2**63), the trivial
 # circle, and small denominators so that d > den and exact interval-end hits
@@ -142,16 +142,30 @@ def test_small_blocks_stack_to_the_exact_grid(x, a, b, N, cells):
 @settings(max_examples=200, deadline=None)
 @given(points, mults, mults, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=40), st.data())
 def test_builder_rows_are_the_exact_rows_of_any_span(x, a, b, N, cells, data):
-    """Rows [s, e) of the one residue builder, and the blocks `_map_rows` hands out, are rows of the pow grid."""
+    """Rows [s, e) of the one residue builder, and the blocks `_spread` hands it in `_bin_counts`, are rows of the pow grid."""
     s = data.draw(st.integers(0, N - 1))
     e = data.draw(st.integers(s + 1, N))
     exact = exact_residues(x, a, b, N)
     span = torus._residue_rows(x, a, b, N)(s, e)
     assert span.dtype == (np.int64 if x.den < 2**31 else object)
     assert span.tolist() == exact[s:e]
+    builder, got = torus._residue_rows, []
+
+    def recorded_rows(*args):
+        rows = builder(*args)
+
+        def recorded(t, u):
+            blk = rows(t, u)
+            got.append((t, blk))
+            return blk
+
+        return recorded
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torus, "_BLOCK_CELLS", cells)
-        got = torus._map_rows(x, a, b, N, lambda t, blk: (t, blk))
+        mp.setattr(torus, "_residue_rows", recorded_rows)
+        _bin_counts(x, a, b, N, 7)
+    got.sort(key=lambda t_blk: t_blk[0])  # the threads may finish their runs in any order
     R = max(1, cells // N)
     assert [t for t, _ in got] == list(range(0, N, R))
     assert [len(blk) for _, blk in got] == block_heights(N, R)
@@ -269,9 +283,36 @@ def test_periodic_row_sums_equal_the_sums_of_every_row(monkeypatch, x, a, b, P):
     assert torus._row_period(x, a, max(horizons)) == P
     assert (_digit_length(x, a, b) > 0) == (x.den == 3**20)
     periodic = period_outputs(x, a, b, horizons)
-    for module in (torus, measures):
-        monkeypatch.setattr(module, "_row_period", lambda x, a, N: N)
+    monkeypatch.setattr(torus, "_row_period", lambda x, a, N: N)
     assert period_outputs(x, a, b, horizons) == periodic
+
+
+@pytest.mark.parametrize(
+    "x, N, P",
+    [
+        (TorusPoint(3, 7), 40, 3),
+        (TorusPoint(1, 2**31 - 1), 100, 31),
+        (TorusPoint(1, 2**61 - 1), 150, 61),  # big-integer rows
+        (TorusPoint(123456789, 1_000_000_007), 300, 300),  # aperiodic int64 rows: P = N
+    ],
+)
+def test_corner_totals_ask_only_for_the_rows_before_the_period(monkeypatch, x, N, P):
+    """The planes are asked for row spans that tile [0, P), and the totals are those of the whole grid."""
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 8 * N)  # 8-row blocks: several below every period but 3
+    assert torus._row_period(x, 2, N) == P
+    rows, inside = torus._residue_rows(x, 2, 3, N), _interval_test(x.den, Fraction(1, 5), Fraction(7, 10))
+    asked = []
+
+    def planes(s, e):
+        asked.append((s, e))
+        return [inside(rows(s, e))]
+
+    horizons = [N, 1, P, N // 2, N - 1]
+    (totals,) = torus._corner_totals(x, 2, horizons, planes, 1, np.int32)
+    asked.sort()
+    assert [s for s, _ in asked] == [0] + [e for _, e in asked[:-1]] and asked[-1][1] == P
+    grid = inside(np.array(exact_residues(x, 2, 3, N), dtype=object))
+    assert totals.tolist() == [int(grid[:h, :h].sum()) for h in horizons]
 
 
 def reference_membership(y: Fraction, lo: Fraction, hi: Fraction) -> bool:

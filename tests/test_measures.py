@@ -212,6 +212,38 @@ def test_convergence_diagnostic_rejects_negative_K(monkeypatch):
         convergence_diagnostic(TorusPoint(1, 7), 2, 3, [5], -2)
 
 
+# int64 (periodic and aperiodic), big-integer rows and the base-6 digit path.
+K0_POINTS = [TorusPoint(1, 7), TorusPoint(5, 1000003), TorusPoint(1, 2**61 - 1), point_of_word(random_word(6, 40, seed=3))]
+
+
+@pytest.mark.parametrize("x", K0_POINTS)
+def test_no_coefficients_build_no_grid(monkeypatch, x):
+    """At K = 0 no orbit_fracs grid is made: the bins are those read beside K = 2, the distances 0."""
+    weights = empirical_measure(x, 2, 3, 30, 7, 2).weights
+    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    mu = empirical_measure(x, 2, 3, 30, 7, 0)
+    assert mu.weights == weights and mu.fourier == {0: 1}
+    assert convergence_diagnostic(x, 2, 3, [30, 10, 30], 0) == [0.0, 0.0, 0.0]
+    side = f"N = {torus.MAX_SIDE + 1} exceeds the grid side limit {torus.MAX_SIDE}"
+    for a, b, N, message in ((2, 3, torus.MAX_SIDE + 1, side), (1, 3, 30, "a, b must be >= 2"), (2, 0, 30, "a, b must be >= 2")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            empirical_measure(x, a, b, N, 7, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_diagnostic(x, a, b, [5, N], 0)
+
+
+def test_a_million_weights_sum_to_one():
+    """sum() of these 2^20 weights is 1 + 6.4e-12, past the tolerance; their correctly rounded sum is 1."""
+    mu = empirical_measure(TorusPoint(123456789, 1000000007), 2, 3, 999, 1 << 20, 0)
+    assert len(mu.weights) == 1 << 20 and abs(sum(mu.weights) - 1.0) > 1e-12
+    assert math.fsum(mu.weights) == 1.0
+
+
+def test_weights_that_miss_one_are_refused():
+    with pytest.raises(ValueError, match=r"^weights sum to 0\.9, not 1$"):
+        EmpiricalMeasure(d=2, weights=(0.5, 0.4), fourier={0: 1}, N=1)
+
+
 def inside_reference(y: Fraction, lo: Fraction, hi: Fraction) -> bool:
     """y + k in the open interval (lo, hi) for some integer k, or the interval covers the circle."""
     return hi - lo >= 1 or any(lo < y + k < hi for k in range(math.floor(lo) - 1, math.ceil(hi) + 2))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from abtorus import TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
 from abtorus.irregular import IrregularRecipe, Schedule
-from abtorus.measures import _bin_counts
+from abtorus.torus import _bin_counts
 from words import random_word
 
 BLOCK_ROWS = 2
@@ -169,34 +169,41 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
 
     monkeypatch.setattr(torus, "_residue_rows", worker_rows)
     monkeypatch.setattr(measures, "_residue_rows", worker_rows)  # semiequidist_profile reads the rows itself
-    spread, sum_workers = measures._spread, set()
+    spread, spread_workers = torus._spread, {}
 
     def recorded_spread(task, *args):
+        kernel = sys._getframe(1).f_code.co_name  # the torus function that spreads the task
+
         def recorded(s, e):
-            sum_workers.add(threading.get_ident())
+            spread_workers.setdefault(kernel, set()).add(threading.get_ident())
             return task(s, e)
 
         return spread(recorded, *args)
 
-    monkeypatch.setattr(measures, "_spread", recorded_spread)
+    def threads_per_kernel():
+        """Threads per spreading function since the last call; clears both records."""
+        threads = {kernel: len(idents) for kernel, idents in spread_workers.items()}
+        spread_workers.clear()
+        workers.clear()
+        return threads
+
+    monkeypatch.setattr(torus, "_spread", recorded_spread)
     x = APERIODIC
     assert torus._row_period(x, 2, 400) == 400
     assert irregular.membership_X(x, 2, 400, build_test_family(2), 2, 3)
     assert len(workers) == 2  # the int64 rows did run on two threads
-    workers.clear()
+    threads_per_kernel()
     measures.empirical_measure(x, 2, 3, 400, 10, 2)
-    assert len(workers) == 2 and len(sum_workers) == 2  # the bin counts, the Fourier grid and its sums
-    sum_workers.clear()
-    workers.clear()
+    assert len(workers) == 2  # the bin counts, the Fourier grid and its sums
+    assert threads_per_kernel() == {"_bin_counts": 2, "orbit_fracs": 2, "_corner_totals": 2}
     measures.semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [200, 400], 0.5)
-    assert len(workers) == 2 and len(sum_workers) == 2  # the residue rows and their interval counts
-    sum_workers.clear()
+    assert len(workers) == 2  # the residue rows and their interval counts
+    assert threads_per_kernel() == {"_corner_totals": 2}
     for call in (lambda: measures.fourier_average(x, 2, 3, 400, 3),
                  lambda: measures.convergence_diagnostic(x, 2, 3, [400, 200], 2)):
-        workers.clear()
         call()
-        assert len(workers) == 2 and len(sum_workers) == 2  # the Fourier grid and its character sums
-        sum_workers.clear()
+        assert len(workers) == 2  # the Fourier grid and its character sums
+        assert threads_per_kernel() == {"orbit_fracs": 2, "_corner_totals": 2}
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(60,))
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
     irregular.verify_irregular(random_word(6, 60, seed=1), recipe, build_test_family(2))
