@@ -39,7 +39,12 @@ class TrigTestFunction:
 
     def __call__(self, x):
         trig = np.cos if self.kind == "cos" else np.sin
-        return self.eta + (1.0 - self.eta) * (1.0 + trig(2.0 * np.pi * self.freq * np.asarray(x))) / 2.0
+        y = np.asarray(trig(2.0 * np.pi * self.freq * np.asarray(x)))  # a 0-d array for a scalar x
+        y += 1.0  # the formula's later steps in its order, in place: the same doubles
+        y *= 1.0 - self.eta
+        y /= 2.0
+        y += self.eta
+        return y[()]  # [()] reads a 0-d array as its scalar
 
     @property
     def integral(self) -> float:

@@ -152,17 +152,17 @@ def _check_grid(a: int, b: int, N: int) -> None:
 def _residue_rows(x: TorusPoint, a: int, b: int, N: int) -> Callable[[int, int], np.ndarray]:
     """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues`, after `_check_grid`.
 
-    The columns a^m num and b^n mod den are built once, each power a running
-    product z -> z * c % den.  An int64 block is their outer product, reduced
-    exactly as p - p // den * den: the products stay below 2^62.  An object
-    row is a running product of b, faster than a Python-int outer product.
+    For den < 2^31 the columns num a^m and b^n mod den come from
+    `_power_column`, and an int64 block is their outer product, reduced
+    exactly as p - p // den * den: the products stay below 2^62.  Otherwise
+    the column num a^m mod den is a `_running_products` list of Python ints,
+    and each object row a running product of b, faster than a Python-int
+    outer product.
     """
     _check_grid(a, b, N)
     den = x.den
-    acol = _running_products(x.num, a, den, N)
     if den < 2**31:
-        acol = np.array(acol, dtype=np.int64)
-        bcol = np.array(_running_products(1, b, den, N), dtype=np.int64)
+        acol, bcol = _power_column(x.num, a, den, N), _power_column(1, b, den, N)
 
         def rows(s: int, e: int) -> np.ndarray:
             blk = acol[s:e, None] * bcol
@@ -170,11 +170,34 @@ def _residue_rows(x: TorusPoint, a: int, b: int, N: int) -> Callable[[int, int],
             return blk
 
         return rows
+    acol = _running_products(x.num, a, den, N)
     return lambda s, e: np.array([_running_products(z, b, den, N) for z in acol[s:e]], dtype=object)
 
 
+def _power_column(z: int, c: int, den: int, N: int) -> np.ndarray:
+    """int64 z * c^n mod den for n < N, den < 2^31, by power doubling.
+
+    col[L:2L] = col[:L] * (c^L mod den) mod den, so log2 N numpy steps
+    replace N Python products; c is reduced mod den first, and every
+    product of two residues stays below 2^62.
+    """
+    col = np.empty(N, dtype=np.int64)
+    col[0] = z % den
+    L, step = 1, c % den  # step = c^L mod den
+    while L < N:
+        n = min(L, N - L)
+        part = col[:n] * step
+        col[L : L + n] = part - part // den * den
+        L, step = L + n, step * step % den
+    return col
+
+
 def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
-    """z * c^n mod den for n < N (z itself unreduced at n = 0)."""
+    """z * c^n mod den for n < N (z itself unreduced at n = 0), as Python ints.
+
+    The big-denominator rows of `_residue_rows` and `typecount` read these;
+    den < 2^31 columns come from `_power_column`.
+    """
     out = []
     for _ in range(N):
         out.append(z)
@@ -318,11 +341,13 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     below the diagonal and the one above it run as two `_spread` tasks;
     both write the main diagonal, with the same values.  Each steps its
     states in blocks of max(1, _BLOCK_CELLS // (K + 2W)) whole states,
-    writes the cells that `_window_fracs` certifies and recomputes the
-    rest exactly on its own thread, so the grid is the same at any thread
+    finds each state's last nonzero digit with one reverse argmax per
+    block, and writes the cells that `_window_fracs` certifies.  Every
+    other cell is recomputed exactly by `_tail_value` from its digits
+    s .. last, on its own thread, so the grid is the same at any thread
     count.
     """
-    ab, num, den = a * b, x.num, x.den
+    ab = a * b
     W = 1
     while ab ** (W + 1) <= 2**53:
         W += 1
@@ -331,6 +356,7 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     R = max(1, _BLOCK_CELLS // len(digits))
     out = np.zeros((N, N))
     flat = out.reshape(-1)
+    powers = ab ** np.arange(W - 1, -1, -1, dtype=np.int64)  # a W-digit chunk's place values
 
     def automaton(c: int, other: int, below: bool) -> None:
         state = digits
@@ -339,8 +365,10 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
             for i in range(len(block)):
                 block[i] = state
                 state = _times(state, c, other)
+            nonzero = block[:, ::-1] != 0
+            last = np.where(nonzero.any(axis=1), block.shape[1] - 1 - nonzero.argmax(axis=1), -1)
             S = min(K, N - j)
-            vals, ok = _window_fracs(block, S, ab, W)
+            vals, ok = _window_fracs(block, last, S, ab, W)
             for i, d in enumerate(range(j, j + len(block))):
                 diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
                 diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
@@ -348,10 +376,39 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
                 d, s = j + int(i), int(s)
                 if s < N - d:
                     m, n = (s + d, s) if below else (s, s + d)
-                    out[m, n] = pow(a, m, den) * pow(b, n, den) * num % den / den
+                    out[m, n] = _tail_value(block[i, s : last[i] + 1], ab, powers)
 
     _spread(lambda i, _: automaton(*((a, b, True), (b, a, False))[i]), 2, 1)
     return out
+
+
+def _tail_value(tail: np.ndarray, ab: int, powers: np.ndarray) -> float:
+    """sum_t tail[t] (ab)^-(t+1) for a tail of base-ab digits, correctly rounded.
+
+    powers holds the place values (ab)^(W-1), ..., 1 of a W-digit chunk,
+    (ab)^W <= 2^53.  From its first nonzero digit f the tail is read to
+    e = f + 2W, f + 4W, ... digits, W to a chunk.  The integer v of the
+    digits read gives v / (ab)^e <= y < (v + 1) / (ab)^e, and Python's int
+    division rounds each bound correctly, so rounding is monotone: once
+    both round to the same double, y does too.  Read to its end,
+    v / (ab)^e is y itself.  Only near-ties read far, so a long tail costs
+    about as much as a short one.
+    """
+    if not len(tail):
+        return 0.0
+    W, C = len(powers), ab ** len(powers)
+    f, n = int((tail != 0).argmax()), 2 * W
+    while True:
+        e = min(f + n, len(tail))
+        start = f - (-(e - f) % W)  # e - start is a multiple of W, and the digits before f are zeros
+        head = tail[start:e] if start >= 0 else np.concatenate([np.zeros(-start, dtype=np.int64), tail[:e]])
+        v = 0
+        for chunk in (head.reshape(-1, W) @ powers).tolist():
+            v = v * C + chunk
+        D = ab**e
+        if e == len(tail) or v / D == (v + 1) / D:
+            return v / D
+        n *= 2
 
 
 def _times(state: np.ndarray, c: int, other: int) -> np.ndarray:
@@ -367,24 +424,21 @@ _SPLIT = 134217729.0
 _U = 2.0**-53
 
 
-def _window_fracs(block: np.ndarray, S: int, ab: int, W: int):
+def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int):
     """Correctly rounded values of the digit tails at shifts s < S, and which are certified.
 
     Each row of `block` holds every digit of one state, at least S + 2W of
-    them; one reverse argmax per block finds each row's last nonzero digit.
-    With C = (ab)^W <= 2^53, v1 and v2 the W-digit windows at s and s + W
-    and t in [0, 1) the digits after them, the cell is y = (v1 + (v2 + t)/C)
-    / C.  For v1 >= 1 the candidate f = f0 + rho/C takes rho = v1 + v2/C -
-    f0 C from a Dekker two-product; f is certified when every rounding and
-    t leave y - f strictly inside half the gap below f, so f is the double
-    nearest y.  A cell with only zero digits comes out exactly 0.
-    Near-ties, and v1 = 0 over nonzero digits, stay uncertified: the caller
-    recomputes them exactly.
+    them, and last[i] is the index of row i's last nonzero digit (-1 for
+    none).  With C = (ab)^W <= 2^53, v1 and v2 the W-digit windows of
+    `_digit_windows` at s and s + W and t in [0, 1) the digits after them,
+    the cell is y = (v1 + (v2 + t)/C) / C.  For v1 >= 1 the candidate
+    f = f0 + rho/C takes rho = v1 + v2/C - f0 C from a Dekker two-product;
+    f is certified when every rounding and t leave y - f strictly inside
+    half the gap below f, so f is the double nearest y.  A cell with only
+    zero digits comes out exactly 0.  Near-ties, and v1 = 0 over nonzero
+    digits, stay uncertified: the caller recomputes them exactly.
     """
-    V = block[:, : S + W].copy()
-    for i in range(1, W):
-        V *= ab
-        V += block[:, i : i + S + W]
+    V = _digit_windows(block, S, ab, W)
     v1, v2 = V[:, :S], V[:, W : W + S]
     C = float(ab**W)
     c_hi = _SPLIT * C - (_SPLIT * C - C)
@@ -411,12 +465,36 @@ def _window_fracs(block: np.ndarray, S: int, ab: int, W: int):
     # errors are below u((q + |resid| + |rho|)/C + |delta|), and the factor 16
     # also covers the roundings of the comparisons below.
     bound = 16 * _U * (gap + (q + np.abs(resid) + np.abs(rho)) / C + np.abs(delta))
-    nonzero = block[:, ::-1] != 0
-    last = np.where(nonzero.any(axis=1), block.shape[1] - 1 - nonzero.argmax(axis=1), -1)
     tail = np.arange(S) + 2 * W <= last[:, None]
     t_max = float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)
     ok = (v1 > 0) & (r2 + half > bound) & (half - r2 - tail * t_max > bound)
     return f, ok | (v1 == 0) & (v2 == 0) & ~tail
+
+
+def _digit_windows(block: np.ndarray, S: int, ab: int, W: int) -> np.ndarray:
+    """V[:, i]: the integer of digits i .. i+W-1 of each row of `block`, for i < S + W.
+
+    Windows of width 1, 2, 4, ... double by one multiply-add each,
+    w_2k[i] = w_k[i] (ab)^k + w_k[i + k]; the set bits of W then join
+    them from the widest down: for W = 20, w_16 (ab)^4 + w_4[i + 16].  That
+    is floor(log2 W) + popcount(W) - 1 passes in place of W - 1 Horner
+    steps, and every value stays below (ab)^W <= 2^53.
+    """
+    w, k, parts = block[:, : S + 2 * W - 1], 1, []
+    while True:
+        if W & k:
+            parts.append((k, w))
+        if 2 * k > W:
+            break
+        w2 = w[:, :-k] * ab**k
+        w2 += w[:, k:]
+        w, k = w2, 2 * k
+    width, V = parts.pop()
+    V = V[:, : S + W]
+    for k, w in reversed(parts):
+        V = V * ab**k + w[:, width : width + S + W]
+        width += k
+    return V
 
 
 def digits_of(x: TorusPoint, base: int, L: int) -> DigitWord:

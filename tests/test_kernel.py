@@ -172,6 +172,20 @@ def test_builder_rows_are_the_exact_rows_of_any_span(x, a, b, N, cells, data):
     assert np.vstack([blk for _, blk in got]).tolist() == exact
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**40), st.integers(2, 2**70), st.integers(1, 2**31 - 1), st.integers(1, 3000))
+def test_power_column_matches_pow(z, c, den, N):
+    """The power-doubled int64 column is z c^n mod den, c at or above den (and 2^63) included."""
+    col = torus._power_column(z, c, den, N)
+    assert col.dtype == np.int64
+    assert col.tolist() == [z * pow(c, n, den) % den for n in range(N)]
+
+
+def test_power_column_at_the_side_limit():
+    z, c, den, N = 987654321, 3**45, 2**31 - 1, torus.MAX_SIDE
+    assert torus._power_column(z, c, den, N).tolist() == [z * pow(c, n, den) % den for n in range(N)]
+
+
 def test_residue_blocks_keep_memory_small():
     """Reading every block at the largest side holds a few blocks, not the 512 MiB int64 grid."""
     x = TorusPoint(2**31 - 2, 2**31 - 1)
@@ -421,6 +435,66 @@ def test_digit_blocks_of_whole_states_match_residues(monkeypatch, x, N, states):
     assert K
     monkeypatch.setattr(torus, "_BLOCK_CELLS", max(1, states * (K + 40)))  # 2W = 40 digits in base 6
     check_against_residues(x, 3, 2, N)
+
+
+WINDOW_BASES = [(4, 26), (6, 20), (10, 15), (24, 11), (2**11 * 6**5, 2)]  # ab and its window width W
+
+
+def horner_windows(block, S, ab, W):
+    """The W-digit windows at i < S + W, one Horner step per digit."""
+    V = block[:, : S + W].copy()
+    for i in range(1, W):
+        V *= ab
+        V += block[:, i : i + S + W]
+    return V
+
+
+@pytest.mark.parametrize("ab, W", WINDOW_BASES)
+@pytest.mark.parametrize("rows", ["random", "top"])
+def test_doubled_windows_equal_horner_windows(ab, W, rows):
+    """Every window width the digit path allows, up to the top window (ab)^W - 1."""
+    assert ab**W <= 2**53 < ab ** (W + 1)
+    rng = np.random.default_rng(ab)
+    for S in (1, 2, 7, 31, 64):
+        shape = (5, S + 2 * W + int(rng.integers(0, 9)))
+        block = rng.integers(0, ab, shape) if rows == "random" else np.full(shape, ab - 1)
+        V = torus._digit_windows(block, S, ab, W)
+        assert np.array_equal(V, horner_windows(block, S, ab, W))
+        if rows == "top":
+            assert V.max() == ab**W - 1
+
+
+def digits_below_one(y: Fraction, ab: int) -> list[int]:
+    """The base-ab digits of y in [0, 1) with den | ab^L, up to its last nonzero digit."""
+    digits = []
+    while y:
+        y *= ab
+        digits.append(int(y))
+        y -= int(y)
+    return digits
+
+
+@st.composite
+def digit_tails(draw):
+    """Random tails after a zero run, and tails next to or on a midpoint between two doubles."""
+    ab, W = draw(st.sampled_from(WINDOW_BASES))
+    if draw(st.booleans()):
+        body = draw(st.lists(st.integers(0, ab - 1), max_size=150)) + [draw(st.integers(1, ab - 1))]
+        return ab, W, [0] * draw(st.integers(0, 600)) + body
+    # an odd multiple of 2^-(54 + e) is a midpoint; ab is even, so its expansion ends
+    mid = Fraction(2 * draw(st.integers(2**52, 2**53 - 1)) + 1, 2 ** (54 + draw(st.integers(0, 60))))
+    L = len(digits_below_one(mid, ab)) + draw(st.integers(1, 400))
+    return ab, W, digits_below_one(mid + draw(st.sampled_from([-1, 0, 1])) * Fraction(1, ab**L), ab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_tails())
+def test_tail_value_is_the_correctly_rounded_tail(tail_case):
+    """A tail read only as far as rounding needs equals Fraction's correctly rounded value."""
+    ab, W, tail = tail_case
+    exact = Fraction(sum(d * ab ** (len(tail) - 1 - t) for t, d in enumerate(tail)), ab ** len(tail))
+    powers = ab ** np.arange(W - 1, -1, -1, dtype=np.int64)
+    assert torus._tail_value(np.array(tail, dtype=np.int64), ab, powers) == float(exact)
 
 
 def test_digit_length_rule():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
+from abtorus import DigitWord, TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
 from abtorus.irregular import IrregularRecipe, Schedule
 from abtorus.torus import _bin_counts
 from words import random_word
@@ -99,7 +99,20 @@ def character_sums(x, N, horizons):
     return fourier, averages, measures.convergence_diagnostic(x, 2, 3, horizons, 5)
 
 
-def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool):
+# Digit-path points for the recompute: a zero run of 45 >= 2W base-6 digits
+# before a 511-digit tail, so the run's cells read nothing in their two
+# windows; and den = 6^14 (the last digit is prime to 6) with K = 14 < N, so
+# the x3 automaton reaches the dyadic points 3^j x, j >= 14.
+ZERO_RUN = point_of_word(
+    DigitWord(6, random_word(6, 5, seed=4).digits + (0,) * 45 + random_word(6, 510, seed=5).digits + (1,))
+)
+SHORT = point_of_word(DigitWord(6, random_word(6, 13, seed=6).digits + (1,)))
+
+
+@pytest.mark.parametrize(
+    "x, K", [(POINTS["digit"], 40), (ZERO_RUN, 561), (SHORT, 14)], ids=["digit", "zero-run", "short"]
+)
+def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool, x, K):
     """With no cell certified, each automaton recomputes every cell of its triangle exactly."""
     window = torus._window_fracs
 
@@ -108,7 +121,8 @@ def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool
         return np.full_like(vals, np.nan), np.zeros_like(ok)
 
     monkeypatch.setattr(torus, "_window_fracs", certify_none)
-    x, N = POINTS["digit"], 30
+    N = 30
+    assert torus._digit_length(x, 2, 3) == K
     exact = np.array([[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den / x.den for n in range(N)]
                       for m in range(N)])
     for t in (1, 2, 3):
