@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import _character_sums
+from .measures import _character_sums, _grid_sums
 from .moran import MoranStructure
-from .torus import MAX_SIDE, DigitWord, TorusPoint, digits_of, orbit_fracs, point_of_word
+from .torus import MAX_SIDE, DigitWord, TorusPoint, _corner_totals, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
 # the vectorized int64 orbit path.
@@ -37,14 +37,10 @@ class TrigTestFunction:
     kind: str  # "cos" | "sin"
     eta: float
 
-    def __call__(self, x):
-        trig = np.cos if self.kind == "cos" else np.sin
-        y = np.asarray(trig(2.0 * np.pi * self.freq * np.asarray(x)))  # a 0-d array for a scalar x
-        y += 1.0  # the formula's later steps in its order, in place: the same doubles
-        y *= 1.0 - self.eta
-        y /= 2.0
-        y += self.eta
-        return y[()]  # [()] reads a 0-d array as its scalar
+    def average(self, S) -> float:
+        """eta + (1 - eta)(1 + Re or Im S_j) / 2 for S[j - 1] = S_j the cells' mean of e(j f): the orbit average."""
+        s = S[self.freq - 1]
+        return float(self.eta + (1.0 - self.eta) * (1.0 + (s.real if self.kind == "cos" else s.imag)) / 2.0)
 
     @property
     def integral(self) -> float:
@@ -140,33 +136,22 @@ class ScheduleError(RuntimeError):
         self.estimate = estimate
 
 
-def _family_averages(fracs: np.ndarray, family: tuple[TrigTestFunction, ...], k: int) -> list[float]:
-    return [float(f(fracs).mean()) for f in family[:k]]
-
-
 def membership_X(
     x: TorusPoint, k: int, N: int, family: tuple[TrigTestFunction, ...], a: int, b: int
 ) -> bool:
     """True iff every i <= k orbit average is within 1/(3k) of the Lebesgue integral.
 
-    A member eta + (1 - eta)(1 + cos or sin 2 pi j x) / 2 averages to
-    eta + (1 - eta)(1 + Re or Im S_j) / 2 over the N x N grid, S_j the
-    mean of e(j f) over its cells: the character sums of
-    `measures._character_sums`, made from the turn tables of `_phases`.
-    They differ from the `np.cos` and `np.sin` averages of
-    `_family_averages` by float error alone, so the decision is theirs
+    Each average is `TrigTestFunction.average` of the N x N grid's mean
+    character sums S_j, the sums of `measures._character_sums`, made from
+    the turn tables of `_phases`.  They differ from the exact means of
+    cos and sin by float error alone, so the decision is the exact one
     unless an average sits that close to the threshold.
     """
     if k < 1 or k > len(family):
         raise ValueError("k out of range for the family")
     members = family[:k]
     S = _character_sums(x, a, b, [N], max(f.freq for f in members))[:, 0] / N**2
-    tol = 1.0 / (3.0 * k)
-    for f in members:
-        trig = S[f.freq - 1].real if f.kind == "cos" else S[f.freq - 1].imag
-        if abs(f.eta + (1.0 - f.eta) * (1.0 + trig) / 2.0 - f.integral) >= tol:
-            return False
-    return True
+    return all(abs(f.average(S) - f.integral) < 1.0 / (3.0 * k) for f in members)
 
 
 def estimate_X_measure(
@@ -378,7 +363,10 @@ def verify_irregular(
         i-th test function is within 1/k of its integral;
     (B) per level, the L_k-horizon average of the bump function exceeds
         (1-r)^2 / 2.
-    Failures are report entries, not exceptions.
+    Failures are report entries, not exceptions.  Both read the one
+    L_depth grid of `orbit_fracs` in `_corner_totals` row blocks: (A)
+    through the character sums of `measures._grid_sums` at the horizons
+    N_k, (B) through the bump's row sums at the horizons L_k.
     """
     sched = recipe.schedule
     if len(word) < sched.L[-1]:
@@ -386,18 +374,14 @@ def verify_irregular(
     x = point_of_word(word)
     bump = bump_function(sched.a, sched.b, sched.r)
     bump_threshold = float((1 - Fraction(sched.r)) ** 2 / 2)
-    Lmax = sched.L[-1]
-    fracs = orbit_fracs(x, sched.a, sched.b, Lmax)
+    fracs = orbit_fracs(x, sched.a, sched.b, sched.L[-1])
+    sums = _grid_sums(x, sched.a, fracs, list(sched.N), max(f.freq for f in family[: sched.depth]))
+    (bumps,) = _corner_totals(x, sched.a, list(sched.L), lambda s, e: [bump(fracs[s:e])], 1, float)
     levels = []
-    for k in range(1, sched.depth + 1):
-        N_k = sched.N[k - 1]
-        L_k = sched.L[k - 1]
-        sub = fracs[:N_k, :N_k]
-        averages = _family_averages(sub, family, k)
-        deviations = [
-            abs(avg - f.integral) for avg, f in zip(averages, family)
-        ]
-        bump_avg = float(bump(fracs[:L_k, :L_k]).mean())
+    for k, N_k, L_k, total in zip(range(1, sched.depth + 1), sched.N, sched.L, bumps):
+        averages = [f.average(sums[:, k - 1] / N_k**2) for f in family[:k]]
+        deviations = [abs(avg - f.integral) for avg, f in zip(averages, family)]
+        bump_avg = float(total) / L_k**2
         ok = all(d < 1.0 / k for d in deviations) and bump_avg > bump_threshold
         levels.append(
             LevelCheck(

@@ -145,9 +145,7 @@ def _frequency(k: int, den: int) -> int:
 def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
     """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
 
-    The grid of `orbit_fracs` is read in `_corner_totals` row blocks, up to
-    its `_row_period`: each cell of e1 = e(k f), k reduced mod den, is made
-    in its block by `_phases`, and its powers by z *= e1.  K = 0 builds no grid.
+    `_grid_sums` on the grid of `orbit_fracs`, k reduced mod den; K = 0 builds no grid.
     """
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
@@ -159,10 +157,20 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     k, N = _frequency(k, x.den), max(horizons)
     if K == 0:
         return np.zeros((0, H), dtype=complex)
-    fracs = orbit_fracs(x, a, b, N)
+    return _grid_sums(x, a, orbit_fracs(x, a, b, N), horizons, K, k)
+
+
+def _grid_sums(x: TorusPoint, a: int, fracs: np.ndarray, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
+    """sums[j, i] of `_character_sums`, read off a float orbit grid of x at least max(horizons) wide.
+
+    The grid is read in `_corner_totals` row blocks, up to its `_row_period`,
+    as fracs[s:e, :max(horizons)]: each cell of e1 = e(k f), |k| <
+    PHASE_LIMIT, is made in its block by `_phases`, and its powers by z *= e1.
+    """
+    N = max(horizons)
 
     def powers(s: int, e: int) -> Iterable[np.ndarray]:
-        e1 = _phases(fracs[s:e], k)
+        e1 = _phases(fracs[s:e, :N], k)
         z = e1.copy()
         for j in range(K):
             if j:

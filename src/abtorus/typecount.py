@@ -24,7 +24,7 @@ MAX_POINTS = 1 << 20  # cap on N: the record and the CLI line hold every label
 
 def entropy(p) -> float:
     """Shannon entropy -sum p_i log p_i in nats, with 0 log 0 = 0."""
-    return -sum(float(v) * math.log(v) for v in p if v > 0)
+    return sum((-float(v) * math.log(v) for v in p if v > 0), 0.0)  # a point mass is 0.0 + -0.0 = +0.0
 
 
 def dist(word: Sequence[int], k: int) -> tuple[Fraction, ...]:
@@ -162,10 +162,10 @@ def kt_bound(a: int, b: int, t: float) -> float:
     la, lb = math.log(a), math.log(b)
     upper = min(lb, la * la / lb)
     if not 0 < t < upper:
+        which = "log b" if lb <= la * la / lb else "(log a)^2 / log b"
         if t >= upper:
-            which = "log b" if lb <= la * la / lb else "(log a)^2 / log b"
             raise ValueError(f"t={t} >= {upper} (violates bound {which})")
-        raise ValueError("t must be positive")
+        raise ValueError("t must be positive" if t <= 0 else f"t={t} outside (0, {which} = {upper})")  # t is NaN
     root = math.sqrt(lb * t)
     return 2.0 * root / (la + root)
 

@@ -556,7 +556,7 @@ def test_struct_spec_entry_not_a_list_exit_one(capsys, spec, key):
 
 
 NAN_ERRORS = {"count-r": "need k >= 1, N >= 1, t >= 0", "growth": "need k >= 1, N >= 1, t >= 0",
-              "kt-bound": "t must be positive"}
+              "kt-bound": "t=nan outside (0, (log a)^2 / log b = 0.43732717981943675)"}
 
 
 @pytest.mark.parametrize(
@@ -571,6 +571,23 @@ def test_nan_threshold_exit_one(capsys, argv):
     code, out, err = capture(capsys, argv)
     assert (code, out) == (1, "")
     assert err == f"error: {NAN_ERRORS[argv[0]]}\n"
+
+
+def test_kt_bound_nan_is_out_of_range_without_traceback():
+    """kt-bound -t nan, run as a program: exit 1 and the range message of q-bound's form on one line."""
+    src = str(Path(irregular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["kt-bound", "-a", "2", "-b", "3", "-t", "nan"]
+    proc = subprocess.run([sys.executable, "-m", "abtorus", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: t=nan outside (0, (log a)^2 / log b = 0.43732717981943675)\n"
+
+
+def test_itinerary_entropy_of_a_point_mass_is_positive_zero(capsys):
+    code, out, _ = capture(capsys, ["itinerary", "-a", "2", "-x", "0", "-d", "2", "-M", "1", "-N", "1"])
+    assert code == 0
+    entropy = json.loads(out)["entropy"]
+    assert entropy == "0.0" and math.copysign(1.0, float(entropy)) == 1.0
 
 
 def test_count_r_alphabet_larger_than_length(capsys):

@@ -35,8 +35,8 @@ from abtorus.irregular import (
     Schedule,
     ScheduleError,
     TrigTestFunction,
-    _family_averages,
 )
+from references import bump_mean, ld_member_mean, member_values
 
 GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 
@@ -44,18 +44,20 @@ GOLDEN_D2 = Path(__file__).parent / "golden" / "verify_irregular_d2_seed0.json"
 def test_family_values_and_integral():
     fam = build_test_family(4)
     psi1, psi2 = fam[0], fam[1]
-    assert psi1(0.0) == pytest.approx(1.0)
-    assert psi2(0.0) == pytest.approx(0.505)
+    assert member_values(psi1, 0.0) == pytest.approx(1.0)
+    assert member_values(psi2, 0.0) == pytest.approx(0.505)
     for f in fam:
         assert f.integral == pytest.approx(0.505)
     assert fam[2].freq == 2 and fam[2].kind == "cos"
+    # every cell at 0: S_j = 1, and each average is the member's value at 0
+    assert psi1.average([1 + 0j]) == pytest.approx(1.0) and psi2.average([1 + 0j]) == pytest.approx(0.505)
 
 
 def test_family_bounds():
     fam = tuple(TrigTestFunction(freq, kind, eta=0.05) for freq, kind in ((1, "cos"), (1, "sin"), (2, "cos")))
     xs = np.linspace(0, 1, 1001)
     for f in fam:
-        vals = f(xs)
+        vals = member_values(f, xs)
         assert (vals > 0).all() and (vals <= 1 + 1e-12).all()
         # modulus of continuity on a fine grid
         step = xs[1] - xs[0]
@@ -74,8 +76,8 @@ def test_membership_generic_point_passes():
 
 
 def reference_membership(x, k, N, family, a, b):
-    """The decision on the full-precision orbit averages."""
-    averages = _family_averages(orbit_fracs(x, a, b, N), family, k)
+    """The decision on the np.cos and np.sin orbit averages."""
+    averages = [member_values(f, orbit_fracs(x, a, b, N)).mean() for f in family[:k]]
     return all(abs(avg - f.integral) < 1.0 / (3.0 * k) for avg, f in zip(averages, family))
 
 
@@ -345,6 +347,30 @@ def test_depth_two_pipeline_matches_golden(synth_d2, report_d2, monkeypatch, cap
     assert synth_out == f'{{"recipe": {golden["recipe"]}, "word": {word}, "seed": 0}}\n'
     verify_out = _cli_stdout("verify-irregular", synth_d2, report_d2, monkeypatch, capsys)
     assert verify_out == golden["report"][:-1] + ', "seed": 0}\n'
+
+
+def golden_level(level: int) -> dict:
+    return json.loads(json.loads(GOLDEN_D2.read_text())["report"])["levels"][level - 1]
+
+
+def test_golden_bump_average_is_the_exact_mean(synth_d2):
+    """Level 1's bump average is the double nearest the exact mean of its L_1^2 bump cells."""
+    word, recipe = synth_d2
+    cells = orbit_fracs(point_of_word(word), 2, 3, recipe.schedule.L[0])
+    mean = bump_mean(bump_function(2, 3, Fraction(1, 2)), cells)
+    assert golden_level(1)["bump_average"] == float(mean) == 0.29746184174920753
+
+
+def test_golden_sine_average_is_the_extended_precision_mean(synth_d2, family2):
+    """Level 2's sine average is the double nearest its mean over the N_2^2 cells in 64-bit-significand arithmetic.
+
+    `test_verify_reductions_match_exact_means` checks that mean against mpmath.
+    """
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("np.longdouble has no 64-bit significand here")
+    word, recipe = synth_d2
+    cells = orbit_fracs(point_of_word(word), 2, 3, recipe.schedule.N[1])
+    assert golden_level(2)["averages"][1] == float(ld_member_mean(family2[1], cells)) == 0.5073419566444172
 
 
 def test_verify_report_passes(synth_d2, report_d2, monkeypatch, capsys):

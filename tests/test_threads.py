@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtorus import DigitWord, TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
-from abtorus.irregular import IrregularRecipe, Schedule
+from abtorus.irregular import IrregularRecipe, Schedule, bump_function
 from abtorus.torus import _bin_counts
+from references import bump_mean, ld_member_mean, mp_member_mean
 from words import random_word
 
 BLOCK_ROWS = 2
@@ -128,6 +129,49 @@ def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool
     for t in (1, 2, 3):
         monkeypatch.setattr(torus, "_THREADS", t)
         assert np.array_equal(orbit_fracs(x, 2, 3, N), exact)
+
+
+# A depth-3 schedule on a 48-digit word with a zero block before each L_k,
+# so every level's bump average is positive; level 3 reads the cos of
+# frequency 2, the second power of the character sums.
+SMALL = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2, 2, 2), N=(5, 13, 29), L=(12, 24, 48))
+SMALL_WORD = DigitWord(6, tuple(0 if i in range(8, 12) or i in range(19, 24) or i >= 40 else d
+                                for i, d in enumerate(random_word(6, 48, seed=7).digits)))
+
+
+def test_verify_reductions_match_exact_means(monkeypatch, fresh_pool):
+    """verify_irregular's averages against exact means over the same double cells, at 1, 2 and 3 threads.
+
+    A bump average is two float sums of at most L_k terms in [0, 1] and a
+    division: within 2 L_k units of 2^-53 of the exact Fraction mean,
+    relative.  A trig average reads S_j = mean of e1^j, each e1 within
+    (6.5 + 2 pi) 2^-53 of e(f) (`measures._phases`) and each power adding
+    at most 2^-51; its row and corner sums of N_k terms each add N_k 2^-53.
+    So it is within (16 j + 2 N_k + 4) 2^-53 of the 30-digit mpmath mean.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    family = build_test_family(3)
+    recipe = IrregularRecipe(SMALL, seed=0, donors=[], donor_tries=[])
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 2 * SMALL.L[-1])  # blocks of 2 rows of the grid, 3 of its N_3 corner
+    reports = {}
+    for t in (1, 2, 3):
+        monkeypatch.setattr(torus, "_THREADS", t)
+        reports[t] = irregular.verify_irregular(SMALL_WORD, recipe, family)
+    assert reports[1] == reports[2] == reports[3]
+    x = point_of_word(SMALL_WORD)
+    bump = bump_function(2, 3, SMALL.r)
+    for level, N_k, L_k in zip(reports[1].levels, SMALL.N, SMALL.L):
+        exact = bump_mean(bump, orbit_fracs(x, 2, 3, L_k))
+        assert exact > 0
+        assert abs(Fraction(level.bump_average) - exact) <= 2 * L_k * exact / 2**53
+        cells = orbit_fracs(x, 2, 3, N_k)
+        for avg, f in zip(level.averages, family):
+            mean = mp_member_mean(f, cells)
+            assert abs(avg - mean) <= (16 * f.freq + 2 * N_k + 4) * mpmath.mpf(2) ** -53
+            if np.finfo(np.longdouble).nmant >= 63:  # the reference of the golden sine average
+                ref = ld_member_mean(f, cells)
+                with mpmath.workdps(30):
+                    assert abs(mpmath.mpf(ref.numerator) / ref.denominator - mean) < mpmath.mpf(2) ** -60
 
 
 def run_forked_grid(conn, x, N):

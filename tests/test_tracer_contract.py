@@ -6,9 +6,10 @@ parameter would otherwise show only in the slow benchmark smoke test.
 """
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
-from abtorus import TorusPoint, cli, irregular, measures, moran, torus, typecount
+from abtorus import DigitWord, TorusPoint, cli, irregular, measures, moran, torus, typecount
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = {
@@ -78,5 +79,23 @@ def test_membership_reads_one_traced_int64_grid():
         assert sorted(spans) == ["irregular.membership_X", "torus.orbit_fracs.int64"]
         assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == N * N
         assert tracer.span_totals()["irregular.membership_X"][0] == 1
+    finally:
+        tracer.uninstall()
+
+
+def test_verify_reads_one_traced_bigint_grid():
+    """The irregular oracle counts one big-denominator orbit_fracs grid of L_depth^2 cells per verify_irregular call."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer(MODULES, seed=0)
+    tracer.install()
+    try:
+        schedule = irregular.Schedule(a=2, b=3, r=Fraction(1, 2), l=(2, 2), N=(5, 13), L=(12, 40))
+        recipe = irregular.IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
+        word = DigitWord(6, tuple(range(1, 6)) * 8)
+        irregular.verify_irregular(word, recipe, irregular.build_test_family(2))
+        spans = [span for _, _, _, span, _, _ in tracer.spans]
+        assert [span for span in spans if span.startswith("torus.orbit_fracs")] == ["torus.orbit_fracs.bigint"]
+        assert tracer.counts[0]["torus.orbit_fracs.bigint.cells"] == 40 * 40
+        assert tracer.span_totals()["irregular.verify_irregular"][0] == 1
     finally:
         tracer.uninstall()

@@ -63,6 +63,8 @@ def composition_count_R(k, N, t):
 def test_entropy_examples():
     assert entropy([0.25] * 4) == pytest.approx(math.log(4), abs=1e-12)
     assert entropy([1.0, 0.0, 0.0]) == 0.0
+    for point_mass in ([1.0], [0.0, 1.0], [Fraction(1), Fraction(0)]):
+        assert math.copysign(1.0, entropy(point_mass)) == 1.0  # +0.0, not -0.0
     assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5 * math.log(2), abs=1e-12)
 
 
@@ -304,6 +306,10 @@ def test_kt_bound_range_errors():
         kt_bound(2, 3, 0.0)
     with pytest.raises(ValueError, match="log"):
         kt_bound(2, 3, 10.0)
+    with pytest.raises(ValueError, match=r"^t=nan outside \(0, \(log a\)\^2 / log b = "):
+        kt_bound(2, 3, float("nan"))  # NaN fails both range comparisons
+    with pytest.raises(ValueError, match=r"^t=nan outside \(0, log b = "):
+        kt_bound(5, 3, float("nan"))
 
 
 def test_kt_bound_endpoint_limit():
