@@ -166,18 +166,18 @@ def _box_dim(args):
 
 
 def _synthesize(args):
-    """Schedule and synthesize a point; a ScheduleError reaches `run`."""
+    """Schedule and synthesize a point: (word, recipe).  A ScheduleError reaches `run`.
+
+    `choose_schedule` checks the least chain's grid sides before any search,
+    so a huge --depth is a one-line error at once.
+    """
     _warn_dependent(args.a, args.b)
-    r = _fraction("-r", args.r)
-    irregular._least_chain(args.a, args.b, r, args.depth)  # rejects --depth before a family of that many members is built
-    family = irregular.build_test_family(args.depth)
-    sched = irregular.choose_schedule(args.a, args.b, r, args.depth, family, seed=args.seed)
-    word, recipe = irregular.synthesize_point(sched, family, seed=args.seed)
-    return word, recipe, family
+    sched = irregular.choose_schedule(args.a, args.b, _fraction("-r", args.r), args.depth, seed=args.seed)
+    return irregular.synthesize_point(sched, seed=args.seed)
 
 
 def _synth_irregular(args):
-    word, recipe, _ = _synthesize(args)
+    word, recipe = _synthesize(args)
     sched = recipe.schedule  # golden key order: the schedule with depth after r, then the rest
     fields = dict(a=sched.a, b=sched.b, r=str(sched.r), depth=sched.depth, l=sched.l, N=sched.N, L=sched.L)
     fields.update(seed=recipe.seed, donors=recipe.donors, donor_tries=recipe.donor_tries)
@@ -185,8 +185,7 @@ def _synth_irregular(args):
 
 
 def _verify_irregular(args):
-    word, recipe, family = _synthesize(args)
-    report = irregular.verify_irregular(word, recipe, family)
+    report = irregular.verify_irregular(*_synthesize(args))
     _emit(args, asdict(report))
     return 0 if report.passed else 2
 

@@ -22,7 +22,9 @@ from .moran import MoranStructure
 from .torus import MAX_SIDE, DigitWord, TorusPoint, _corner_totals, digits_of, orbit_fracs, point_of_word
 
 # Fixed denominator for Monte Carlo sample points: a prime small enough for
-# the vectorized int64 orbit path.
+# the vectorized int64 orbit path.  Known limit: 2^31 = 1 mod 2^31 - 1, so for
+# a = 2 every sample point has x2 period 31, and the sample is not
+# Lebesgue-random; an exact bound on the good set's measure is to replace it.
 SAMPLE_DEN = 2_147_483_647
 _MAX_TRIES = 2000  # donor draws per level before synthesize_point gives up
 _SAMPLES, _GROWTH, _MAX_EXPANSIONS = 150, 1.3, 12  # schedule: samples per try, N growth, tries per level
@@ -136,10 +138,8 @@ class ScheduleError(RuntimeError):
         self.estimate = estimate
 
 
-def membership_X(
-    x: TorusPoint, k: int, N: int, family: tuple[TrigTestFunction, ...], a: int, b: int
-) -> bool:
-    """True iff every i <= k orbit average is within 1/(3k) of the Lebesgue integral.
+def membership_X(x: TorusPoint, k: int, N: int, a: int, b: int) -> bool:
+    """True iff the orbit average of each member of build_test_family(k) is within 1/(3k) of its integral.
 
     Each average is `TrigTestFunction.average` of the N x N grid's mean
     character sums S_j, the sums of `measures._character_sums`, made from
@@ -147,40 +147,29 @@ def membership_X(
     cos and sin by float error alone, so the decision is the exact one
     unless an average sits that close to the threshold.
     """
-    if k < 1 or k > len(family):
-        raise ValueError("k out of range for the family")
-    members = family[:k]
-    S = _character_sums(x, a, b, [N], max(f.freq for f in members))[:, 0] / N**2
+    members = build_test_family(k)
+    S = _character_sums(x, a, b, [N], members[-1].freq)[:, 0] / N**2
     return all(abs(f.average(S) - f.integral) < 1.0 / (3.0 * k) for f in members)
 
 
-def estimate_X_measure(
-    k: int,
-    N: int,
-    family: tuple[TrigTestFunction, ...],
-    a: int,
-    b: int,
-    seed: int,
-) -> MeasureEstimate:
+def estimate_X_measure(k: int, N: int, a: int, b: int, seed: int) -> MeasureEstimate:
     """Monte Carlo estimate of the measure of the good set at horizon N, from _SAMPLES points."""
     rng = random.Random(seed)
     hits = 0
     for _ in range(_SAMPLES):
         x = TorusPoint(rng.randrange(1, SAMPLE_DEN), SAMPLE_DEN)
-        if membership_X(x, k, N, family, a, b):
+        if membership_X(x, k, N, a, b):
             hits += 1
     p = hits / _SAMPLES
     half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / _SAMPLES) / _SAMPLES)
     return MeasureEstimate(value=p, half_width=half, samples=_SAMPLES)
 
 
-def modulus_l(k: int, family: tuple[TrigTestFunction, ...], a: int, b: int) -> int:
-    """Smallest l with lip_max * (ab)^-l < 1/(3k) over the first k family members."""
-    if k < 1 or k > len(family):
-        raise ValueError("k out of range for the family")
+def modulus_l(k: int, a: int, b: int) -> int:
+    """Smallest l with lip * (ab)^-l < 1/(3k), lip the largest Lipschitz constant of `build_test_family(k)`."""
     if min(a, b) < 2:  # a b = 1 would never stop the search below
         raise ValueError("a, b must be >= 2")
-    lip = max(f.lipschitz for f in family[:k])
+    lip = build_test_family(k)[-1].lipschitz
     ab = a * b
     l = 1
     while lip * ab**-l >= 1.0 / (3.0 * k):
@@ -188,14 +177,7 @@ def modulus_l(k: int, family: tuple[TrigTestFunction, ...], a: int, b: int) -> i
     return l
 
 
-def choose_schedule(
-    a: int,
-    b: int,
-    r: Fraction,
-    depth: int,
-    family: tuple[TrigTestFunction, ...],
-    seed: int = 0,
-) -> Schedule:
+def choose_schedule(a: int, b: int, r: Fraction, depth: int, seed: int = 0) -> Schedule:
     """Pick minimal-ish horizons satisfying the construction's inequalities.
 
     Per level k, with c = L_{k-1} + l_k, the integer conditions are
@@ -204,15 +186,16 @@ def choose_schedule(
         6k (2 N_k c - c^2) < N_k^2,
         k * sum_{i<k} (N_i + L_i) < N_k,
 
-    plus the Monte Carlo requirement that the good-set measure estimate
-    exceeds r at 95% confidence; then L_k is minimal with
-    floor(r L_k) > N_k and k * (sum_{i<k}(N_i + L_i) + N_k) < L_k.  Each
-    N_k tried, and its L_k, must be grid sides of at most MAX_SIDE: a
-    larger one is rejected before its Monte Carlo estimate, and first in
-    the least chain of `_least_chain`, before any estimate.
+    plus the Monte Carlo requirement that the estimated measure of the
+    level-k good set of `membership_X` exceeds r at 95% confidence; then
+    L_k is minimal with floor(r L_k) > N_k and
+    k * (sum_{i<k}(N_i + L_i) + N_k) < L_k.  Each N_k tried, and its L_k,
+    must be grid sides of at most MAX_SIDE: a larger one is rejected
+    before its Monte Carlo estimate, and first in the least chain of
+    `_least_chain`, before any estimate.
     """
     r = Fraction(r)
-    ls = _least_chain(a, b, r, depth, family)
+    ls = _least_chain(a, b, r, depth)
     Ns: list[int] = []
     Ls: list[int] = []
     prev_sum = 0  # sum_{i<k} (N_i + L_i)
@@ -224,7 +207,7 @@ def choose_schedule(
         for attempt in range(_MAX_EXPANSIONS):
             L = _least_L(k, prev_sum, N, r)
             _check_sides(r, depth, k, N, L)
-            est = estimate_X_measure(k, N, family, a, b, seed + 7919 * k + attempt)
+            est = estimate_X_measure(k, N, a, b, seed + 7919 * k + attempt)
             if best is None or est.value > best.value:
                 best, best_N = est, N
             if est.value - est.half_width > r:
@@ -241,27 +224,24 @@ def choose_schedule(
     return Schedule(a=a, b=b, r=r, l=tuple(ls), N=tuple(Ns), L=tuple(Ls))
 
 
-def _least_chain(
-    a: int, b: int, r: Fraction, depth: int, family: tuple[TrigTestFunction, ...] | None = None
-) -> list[int]:
+def _least_chain(a: int, b: int, r: Fraction, depth: int) -> list[int]:
     """l_1 .. l_depth, after checking the sides of the least chain against MAX_SIDE.
 
     The least chain takes each N_k from `_least_N` and L_k from `_least_L`,
     with no Monte Carlo growth; the search only raises N_k, so every
-    schedule's sides are at least these.  Level k reads family[:k], or
-    build_test_family(k) if family is None: the sides pass MAX_SIDE within
-    a few levels, so no member past the rejected level is built.
+    schedule's sides are at least these.  Level k's l_k comes from
+    `modulus_l`, which builds the first k test functions; the sides pass
+    MAX_SIDE within a few levels, so a huge depth is rejected before any
+    member past the rejected level is built.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0 < r < 1:
         raise ValueError("r must be in (0, 1)")
-    if family is not None and depth > len(family):
-        raise ValueError("family too small for the requested depth")
     ls: list[int] = []
     prev_sum = L = 0
     for k in range(1, depth + 1):
-        ls.append(modulus_l(k, build_test_family(k) if family is None else family, a, b))
+        ls.append(modulus_l(k, a, b))
         N = _least_N(k, L + ls[-1], prev_sum)
         L = _least_L(k, prev_sum, N, r)
         _check_sides(r, depth, k, N, L)
@@ -285,11 +265,7 @@ def _least_L(k: int, prev_sum: int, N: int, r: Fraction) -> int:
     return max(k * (prev_sum + N) + 1, N + 1, -(-(N + 1) * r.denominator // r.numerator))
 
 
-def synthesize_point(
-    schedule: Schedule,
-    family: tuple[TrigTestFunction, ...],
-    seed: int = 0,
-) -> tuple[DigitWord, IrregularRecipe]:
+def synthesize_point(schedule: Schedule, seed: int = 0) -> tuple[DigitWord, IrregularRecipe]:
     """Build a digit word of length L_depth following the level-block recipe.
 
     Level k copies digit positions [L_{k-1}, N_k) from a sampled point
@@ -310,7 +286,7 @@ def synthesize_point(
         rL = schedule.floor_rL(k)
         for tries in range(1, _MAX_TRIES + 1):
             donor = TorusPoint(rng.randrange(1, SAMPLE_DEN), SAMPLE_DEN)
-            if membership_X(donor, k, N_k, family, a, b):
+            if membership_X(donor, k, N_k, a, b):
                 break
         else:
             raise RuntimeError(f"sampling budget exhausted at level {k}")
@@ -354,13 +330,12 @@ class IrregularReport:
     levels: list[LevelCheck]
 
 
-def verify_irregular(
-    word: DigitWord, recipe: IrregularRecipe, family: tuple[TrigTestFunction, ...]
-) -> IrregularReport:
+def verify_irregular(word: DigitWord, recipe: IrregularRecipe) -> IrregularReport:
     """Check the two oscillation inequalities on the synthesized word.
 
     (A) per level k and i <= k, the N_k-horizon orbit average of the
-        i-th test function is within 1/k of its integral;
+        i-th member of `build_test_family(depth)` is within 1/k of its
+        integral;
     (B) per level, the L_k-horizon average of the bump function exceeds
         (1-r)^2 / 2.
     Failures are report entries, not exceptions.  Both read the one
@@ -369,13 +344,16 @@ def verify_irregular(
     N_k, (B) through the bump's row sums at the horizons L_k.
     """
     sched = recipe.schedule
+    if word.base != sched.a * sched.b:
+        raise ValueError(f"word base {word.base} is not a*b = {sched.a * sched.b}")
     if len(word) < sched.L[-1]:
         raise ValueError("word shorter than the schedule's final level")
     x = point_of_word(word)
     bump = bump_function(sched.a, sched.b, sched.r)
     bump_threshold = float((1 - Fraction(sched.r)) ** 2 / 2)
     fracs = orbit_fracs(x, sched.a, sched.b, sched.L[-1])
-    sums = _grid_sums(x, sched.a, fracs, list(sched.N), max(f.freq for f in family[: sched.depth]))
+    family = build_test_family(sched.depth)
+    sums = _grid_sums(x, sched.a, fracs, list(sched.N), family[-1].freq)
     (bumps,) = _corner_totals(x, sched.a, list(sched.L), lambda s, e: [bump(fracs[s:e])], 1, float)
     levels = []
     for k, N_k, L_k, total in zip(range(1, sched.depth + 1), sched.N, sched.L, bumps):

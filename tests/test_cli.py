@@ -696,11 +696,11 @@ def serve_depth_two_from_fixtures(request, monkeypatch):
     word, _ = request.getfixturevalue("synth_d2")
     report = request.getfixturevalue("report_d2")
 
-    def search(a, b, r, depth, family, seed):
+    def search(a, b, r, depth, seed):
         assert (a, b, r, depth, seed) == (2, 3, Fraction(1, 2), 2, 0)
         return schedule
 
-    def verify(w, recipe, family):
+    def verify(w, recipe):
         assert w == word and recipe.schedule == schedule
         return report
 

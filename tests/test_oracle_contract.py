@@ -27,7 +27,7 @@ def test_oracle_constants_match_the_library(monkeypatch, schedule_d2):
     workloads = load("workloads", monkeypatch)  # the oracle imports A, B from it
     oracle = load("oracle", monkeypatch)
     assert (workloads.A, workloads.B, oracle.IRR_R) == (schedule_d2.a, schedule_d2.b, schedule_d2.r)
-    depth1 = choose_schedule(workloads.A, workloads.B, oracle.IRR_R, 1, build_test_family(1))
+    depth1 = choose_schedule(workloads.A, workloads.B, oracle.IRR_R, 1)
     assert oracle.IRR_SCHEDULES == {1: (depth1.N, depth1.L), 2: (schedule_d2.N, schedule_d2.L)}
     assert (oracle.MC_SAMPLES, oracle.SAMPLE_DEN, oracle.ETA) == (irregular._SAMPLES, irregular.SAMPLE_DEN, irregular._ETA)
     assert oracle.INTEGRAL == build_test_family(1)[0].integral

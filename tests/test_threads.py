@@ -150,13 +150,13 @@ def test_verify_reductions_match_exact_means(monkeypatch, fresh_pool):
     So it is within (16 j + 2 N_k + 4) 2^-53 of the 30-digit mpmath mean.
     """
     mpmath = pytest.importorskip("mpmath")
-    family = build_test_family(3)
+    family = build_test_family(SMALL.depth)  # the members verify_irregular reads
     recipe = IrregularRecipe(SMALL, seed=0, donors=[], donor_tries=[])
     monkeypatch.setattr(torus, "_BLOCK_CELLS", 2 * SMALL.L[-1])  # blocks of 2 rows of the grid, 3 of its N_3 corner
     reports = {}
     for t in (1, 2, 3):
         monkeypatch.setattr(torus, "_THREADS", t)
-        reports[t] = irregular.verify_irregular(SMALL_WORD, recipe, family)
+        reports[t] = irregular.verify_irregular(SMALL_WORD, recipe)
     assert reports[1] == reports[2] == reports[3]
     x = point_of_word(SMALL_WORD)
     bump = bump_function(2, 3, SMALL.r)
@@ -248,7 +248,7 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
     monkeypatch.setattr(torus, "_spread", recorded_spread)
     x = APERIODIC
     assert torus._row_period(x, 2, 400) == 400
-    assert irregular.membership_X(x, 2, 400, build_test_family(2), 2, 3)
+    assert irregular.membership_X(x, 2, 400, 2, 3)
     assert len(workers) == 2  # the int64 rows did run on two threads
     threads_per_kernel()
     measures.empirical_measure(x, 2, 3, 400, 10, 2)
@@ -264,7 +264,7 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
         assert threads_per_kernel() == {"orbit_fracs": 2, "_corner_totals": 2}
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(60,))
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
-    irregular.verify_irregular(random_word(6, 60, seed=1), recipe, build_test_family(2))
+    irregular.verify_irregular(random_word(6, 60, seed=1), recipe)
     names = {name for name, _ in seen}
     assert {"membership_X", "orbit_fracs", "verify_irregular", "digits_of"} <= names
     assert {"empirical_measure", "semiequidist_profile", "fourier_average", "convergence_diagnostic"} <= names

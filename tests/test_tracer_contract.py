@@ -74,7 +74,7 @@ def test_membership_reads_one_traced_int64_grid():
     tracer.install()
     try:
         N = 40
-        irregular.membership_X(TorusPoint(123456789, irregular.SAMPLE_DEN), 2, N, irregular.build_test_family(2), 2, 3)
+        irregular.membership_X(TorusPoint(123456789, irregular.SAMPLE_DEN), 2, N, 2, 3)
         spans = [span for _, _, _, span, _, _ in tracer.spans]
         assert sorted(spans) == ["irregular.membership_X", "torus.orbit_fracs.int64"]
         assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == N * N
@@ -92,7 +92,7 @@ def test_verify_reads_one_traced_bigint_grid():
         schedule = irregular.Schedule(a=2, b=3, r=Fraction(1, 2), l=(2, 2), N=(5, 13), L=(12, 40))
         recipe = irregular.IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
         word = DigitWord(6, tuple(range(1, 6)) * 8)
-        irregular.verify_irregular(word, recipe, irregular.build_test_family(2))
+        irregular.verify_irregular(word, recipe)
         spans = [span for _, _, _, span, _, _ in tracer.spans]
         assert [span for span in spans if span.startswith("torus.orbit_fracs")] == ["torus.orbit_fracs.bigint"]
         assert tracer.counts[0]["torus.orbit_fracs.bigint.cells"] == 40 * 40
