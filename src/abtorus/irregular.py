@@ -138,6 +138,12 @@ class ScheduleError(RuntimeError):
         self.estimate = estimate
 
 
+def _grid_rows(x: TorusPoint, a: int, b: int, N: int):
+    """rows(s, e): slices of one whole `orbit_fracs` grid, the one grid a membership or verify call makes."""
+    fracs = orbit_fracs(x, a, b, N)
+    return lambda s, e: fracs[s:e]
+
+
 def membership_X(x: TorusPoint, k: int, N: int, a: int, b: int) -> bool:
     """True iff the orbit average of each member of build_test_family(k) is within 1/(3k) of its integral.
 
@@ -145,10 +151,12 @@ def membership_X(x: TorusPoint, k: int, N: int, a: int, b: int) -> bool:
     character sums S_j, the sums of `measures._character_sums`, made from
     the turn tables of `_phases`.  They differ from the exact means of
     cos and sin by float error alone, so the decision is the exact one
-    unless an average sits that close to the threshold.
+    unless an average sits that close to the threshold.  After the bounds
+    of `_character_sums`, the sums read one whole `orbit_fracs` grid
+    through `_grid_rows`, so each call makes one grid.
     """
     members = build_test_family(k)
-    S = _character_sums(x, a, b, [N], members[-1].freq)[:, 0] / N**2
+    S = _character_sums(x, a, b, [N], members[-1].freq, source=_grid_rows)[:, 0] / N**2
     return all(abs(f.average(S) - f.integral) < 1.0 / (3.0 * k) for f in members)
 
 
@@ -339,9 +347,9 @@ def verify_irregular(word: DigitWord, recipe: IrregularRecipe) -> IrregularRepor
     (B) per level, the L_k-horizon average of the bump function exceeds
         (1-r)^2 / 2.
     Failures are report entries, not exceptions.  Both read the one
-    L_depth grid of `orbit_fracs` in `_corner_totals` row blocks: (A)
-    through the character sums of `measures._grid_sums` at the horizons
-    N_k, (B) through the bump's row sums at the horizons L_k.
+    L_depth grid of `orbit_fracs`, through `_grid_rows`, in `_corner_totals`
+    row blocks: (A) through the character sums of `measures._grid_sums` at
+    the horizons N_k, (B) through the bump's row sums at the horizons L_k.
     """
     sched = recipe.schedule
     if word.base != sched.a * sched.b:
@@ -351,10 +359,10 @@ def verify_irregular(word: DigitWord, recipe: IrregularRecipe) -> IrregularRepor
     x = point_of_word(word)
     bump = bump_function(sched.a, sched.b, sched.r)
     bump_threshold = float((1 - Fraction(sched.r)) ** 2 / 2)
-    fracs = orbit_fracs(x, sched.a, sched.b, sched.L[-1])
+    rows = _grid_rows(x, sched.a, sched.b, sched.L[-1])
     family = build_test_family(sched.depth)
-    sums = _grid_sums(x, sched.a, fracs, list(sched.N), family[-1].freq)
-    (bumps,) = _corner_totals(x, sched.a, list(sched.L), lambda s, e: [bump(fracs[s:e])], 1, float)
+    sums = _grid_sums(x, sched.a, rows, list(sched.N), family[-1].freq)
+    (bumps,) = _corner_totals(x, sched.a, list(sched.L), lambda s, e: [bump(rows(s, e))], 1, float)
     levels = []
     for k, N_k, L_k, total in zip(range(1, sched.depth + 1), sched.N, sched.L, bumps):
         averages = [f.average(sums[:, k - 1] / N_k**2) for f in family[:k]]

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .torus import TorusPoint, _bin_counts, _check_grid, _corner_totals, _residue_rows, orbit_fracs
+from .torus import TorusPoint, _bin_counts, _check_grid, _corner_totals, _frac_rows, _residue_rows
 
 # Slack of the semiequidistribution verdict below t_claim * m(target).
 TOLERANCE = 0.05
@@ -142,10 +142,13 @@ def _frequency(k: int, den: int) -> int:
     return r
 
 
-def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
+def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1, source=None) -> np.ndarray:
     """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
 
-    `_grid_sums` on the grid of `orbit_fracs`, k reduced mod den; K = 0 builds no grid.
+    `_grid_sums` over the rows of source(x, a, b, max(horizons)), with k
+    reduced mod den; the source is made only after every bound below is
+    checked, and K = 0 makes none.  It is `torus._frac_rows` by default,
+    so off the digit path no N x N float grid is held, at any K.
     """
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
@@ -157,20 +160,21 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     k, N = _frequency(k, x.den), max(horizons)
     if K == 0:
         return np.zeros((0, H), dtype=complex)
-    return _grid_sums(x, a, orbit_fracs(x, a, b, N), horizons, K, k)
+    return _grid_sums(x, a, (source or _frac_rows)(x, a, b, N), horizons, K, k)
 
 
-def _grid_sums(x: TorusPoint, a: int, fracs: np.ndarray, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
-    """sums[j, i] of `_character_sums`, read off a float orbit grid of x at least max(horizons) wide.
+def _grid_sums(x: TorusPoint, a: int, rows: Callable, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
+    """sums[j, i] of `_character_sums`, read off a float row source of an orbit grid of x at least max(horizons) wide.
 
-    The grid is read in `_corner_totals` row blocks, up to its `_row_period`,
-    as fracs[s:e, :max(horizons)]: each cell of e1 = e(k f), |k| <
+    rows(s, e) gives grid rows s .. e-1, as `torus._frac_rows` does.  They
+    are read in `_corner_totals` row blocks, up to the `_row_period`, as
+    rows(s, e)[:, :max(horizons)]: each cell of e1 = e(k f), |k| <
     PHASE_LIMIT, is made in its block by `_phases`, and its powers by z *= e1.
     """
     N = max(horizons)
 
     def powers(s: int, e: int) -> Iterable[np.ndarray]:
-        e1 = _phases(fracs[s:e, :N], k)
+        e1 = _phases(rows(s, e)[:, :N], k)
         z = e1.copy()
         for j in range(K):
             if j:

@@ -292,27 +292,47 @@ def _corner_totals(
     return np.array([[rows[p, column[h], :h].sum() for h in horizons] for p in range(P)])
 
 
+def _frac_rows(x: TorusPoint, a: int, b: int, N: int, whole: bool = False) -> Callable[[int, int], np.ndarray]:
+    """rows(s, e): rows s .. e-1 of the float grid of `orbit_fracs`, after `_check_grid`.
+
+    The one place the path is chosen.  On the digit path (`_digit_length`
+    nonzero) a block is a slice of the whole `_digit_fracs` grid.
+    Otherwise a block is its `_residue_rows` block divided by den when it
+    is read, so no N x N array is held; with whole, a block is a slice of
+    the grid these divisions fill first, as `orbit_fracs` describes.
+    """
+    _check_grid(a, b, N)
+    K = _digit_length(x, a, b)
+    if K:
+        grid = _digit_fracs(x, a, b, N, K)
+    else:
+        residues = _residue_rows(x, a, b, N)
+
+        def rows(s: int, e: int, out: np.ndarray | None = None) -> np.ndarray:
+            block = residues(s, e)  # without a float out, an object block would divide into Python floats
+            return np.divide(block, x.den, out=np.empty(block.shape) if out is None else out, casting="unsafe")
+
+        if not whole:
+            return rows
+        grid, P = np.empty((N, N)), _row_period(x, a, N)
+        _spread(lambda s, e: rows(s, e, grid[s:e]), P, _block_rows(N))
+        for s in range(P, N, P):  # rows [s, s + P) repeat rows [0, P)
+            grid[s : s + P] = grid[: min(P, N - s)]
+    return lambda s, e: grid[s:e]
+
+
 def orbit_fracs(x: TorusPoint, a: int, b: int, N: int) -> np.ndarray:
     """Float values r / den of the N x N orbit grid, correctly rounded (within 1/2 ulp).
 
-    When den >= 2^31 divides (ab)^K with (ab)^2 <= 2^53, the base-ab digit
-    automaton of `_digit_fracs` gives the grid with no big-integer
-    arithmetic.  Otherwise only the rows before the `_row_period` P are
-    computed: each block of `_residue_rows`, int64 or object, is divided by
-    den straight into its rows of the grid on the `_spread` threads, and
-    every later row m is copied from row m mod P.  Each cell is the double
-    nearest the exact point, so the paths agree.
+    The whole grid of `_frac_rows`.  When den >= 2^31 divides (ab)^K with
+    (ab)^2 <= 2^53, the base-ab digit automaton of `_digit_fracs` gives it
+    with no big-integer arithmetic.  Otherwise only the rows before the
+    `_row_period` P are computed: each block of `_residue_rows`, int64 or
+    object, is divided by den straight into its rows of the grid on the
+    `_spread` threads, and every later row m is copied from row m mod P.
+    Each cell is the double nearest the exact point, so the paths agree.
     """
-    _check_grid(a, b, N)  # before either path allocates its grid
-    K = _digit_length(x, a, b)
-    if K:
-        return _digit_fracs(x, a, b, N, K)
-    out = np.empty((N, N))
-    rows, P = _residue_rows(x, a, b, N), _row_period(x, a, N)
-    _spread(lambda s, e: np.divide(rows(s, e), x.den, out=out[s:e], casting="unsafe"), P, _block_rows(N))
-    for s in range(P, N, P):  # rows [s, s + P) repeat rows [0, P)
-        out[s : s + P] = out[: min(P, N - s)]
-    return out
+    return _frac_rows(x, a, b, N, whole=True)(0, N)
 
 
 def _digit_length(x: TorusPoint, a: int, b: int) -> int:

@@ -21,7 +21,6 @@ from abtorus import (
     estimate_X_measure,
     induced_moran_structure,
     irregular,
-    measures,
     membership_X,
     modulus_l,
     moran_dims,
@@ -133,8 +132,7 @@ def test_membership_and_verify_read_one_orbit_grid(monkeypatch):
         sides.append(N)
         return orbit_fracs(x, a, b, N)
 
-    monkeypatch.setattr(irregular, "orbit_fracs", counted)
-    monkeypatch.setattr(measures, "orbit_fracs", counted)
+    monkeypatch.setattr(irregular, "orbit_fracs", counted)  # measures builds no orbit_fracs grid
     assert membership_X(TorusPoint(123456789, SAMPLE_DEN), 2, 60, 2, 3)
     assert sides == [60]
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(12,))

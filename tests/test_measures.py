@@ -175,7 +175,7 @@ def test_semiequidist_bounds_the_counted_cells_before_any_grid(monkeypatch, hori
 )
 def test_character_sums_bound_the_cell_powers_before_any_grid(monkeypatch, horizons, K, rejected):
     """K times h^2 over the distinct horizons may reach 2^32; past it no grid is made."""
-    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    monkeypatch.setattr(measures, "_frac_rows", no_grid)
     powers = K * sum(h * h for h in set(horizons))
     assert (powers > 2**32) == rejected
     expected = pytest.raises(ValueError, match=f"-K {K} would sum {powers} cell powers") if rejected else pytest.raises(NoGrid)
@@ -205,9 +205,9 @@ def test_convergence_diagnostic_rejects_negative_K(monkeypatch):
     """K < 0 has no coefficients to sum: it is refused before any grid, not reported as distance 0."""
 
     def no_grid(*args):
-        raise AssertionError("orbit_fracs ran before K was checked")
+        raise AssertionError("a row source was made before K was checked")
 
-    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    monkeypatch.setattr(measures, "_frac_rows", no_grid)
     with pytest.raises(ValueError, match=r"^K must be >= 0$"):
         convergence_diagnostic(TorusPoint(1, 7), 2, 3, [5], -2)
 
@@ -218,9 +218,9 @@ K0_POINTS = [TorusPoint(1, 7), TorusPoint(5, 1000003), TorusPoint(1, 2**61 - 1),
 
 @pytest.mark.parametrize("x", K0_POINTS)
 def test_no_coefficients_build_no_grid(monkeypatch, x):
-    """At K = 0 no orbit_fracs grid is made: the bins are those read beside K = 2, the distances 0."""
+    """At K = 0 no float row source is made: the bins are those read beside K = 2, the distances 0."""
     weights = empirical_measure(x, 2, 3, 30, 7, 2).weights
-    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    monkeypatch.setattr(measures, "_frac_rows", no_grid)
     mu = empirical_measure(x, 2, 3, 30, 7, 0)
     assert mu.weights == weights and mu.fourier == {0: 1}
     assert convergence_diagnostic(x, 2, 3, [30, 10, 30], 0) == [0.0, 0.0, 0.0]
@@ -331,9 +331,9 @@ def test_fourier_average_reduces_k_mod_den_before_the_phase():
 def test_phase_limit_is_announced_before_any_grid(monkeypatch):
     """|k mod den| < 2^42 keeps the table indices exact; only den > 2^43 can break it."""
     def no_grid(*args):
-        raise AssertionError("orbit_fracs ran before the limit was checked")
+        raise AssertionError("a row source was made before the limit was checked")
 
-    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    monkeypatch.setattr(measures, "_frac_rows", no_grid)
     x = TorusPoint(3, 2**61 - 1)
     for k in (2**42, -(2**42), 2**42 + 7 * x.den):
         with pytest.raises(ValueError, match=r"^-K -?\d+ is -?4398046511104 mod the denominator 2305843009213693951: "):
@@ -384,14 +384,14 @@ def test_phases_are_within_the_stated_ulps(k, cells):
 
 
 def test_character_sum_limit_is_announced_before_any_grid(monkeypatch):
-    """K * len(horizons) <= MAX_SUMS holds at equality; one more is refused before orbit_fracs runs."""
+    """K * len(horizons) <= MAX_SUMS holds at equality; one more is refused before any float row is made."""
     x = TorusPoint(1, 7)
     assert len(convergence_diagnostic(x, 2, 3, [3, 2], measures.MAX_SUMS // 2)) == 2
 
     def no_grid(*args):
-        raise AssertionError("orbit_fracs ran before the limit was checked")
+        raise AssertionError("a row source was made before the limit was checked")
 
-    monkeypatch.setattr(measures, "orbit_fracs", no_grid)
+    monkeypatch.setattr(measures, "_frac_rows", no_grid)
     with pytest.raises(ValueError, match=r"^K = 2049 exceeds the Fourier limit 2048 \(K \* horizons <= 4096\)$"):
         convergence_diagnostic(x, 2, 3, [3, 2], measures.MAX_SUMS // 2 + 1)
     with pytest.raises(ValueError, match=r"^K = 4097 exceeds the Fourier limit 4096 "):

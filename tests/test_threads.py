@@ -252,16 +252,16 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
     assert len(workers) == 2  # the int64 rows did run on two threads
     threads_per_kernel()
     measures.empirical_measure(x, 2, 3, 400, 10, 2)
-    assert len(workers) == 2  # the bin counts, the Fourier grid and its sums
-    assert threads_per_kernel() == {"_bin_counts": 2, "orbit_fracs": 2, "_corner_totals": 2}
+    assert len(workers) == 2  # the bin counts, and the float rows read inside their character sums
+    assert threads_per_kernel() == {"_bin_counts": 2, "_corner_totals": 2}
     measures.semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [200, 400], 0.5)
     assert len(workers) == 2  # the residue rows and their interval counts
     assert threads_per_kernel() == {"_corner_totals": 2}
     for call in (lambda: measures.fourier_average(x, 2, 3, 400, 3),
                  lambda: measures.convergence_diagnostic(x, 2, 3, [400, 200], 2)):
         call()
-        assert len(workers) == 2  # the Fourier grid and its character sums
-        assert threads_per_kernel() == {"orbit_fracs": 2, "_corner_totals": 2}
+        assert len(workers) == 2  # the float rows, read inside their character sums
+        assert threads_per_kernel() == {"_corner_totals": 2}
     schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(60,))
     recipe = IrregularRecipe(schedule, seed=0, donors=[], donor_tries=[])
     irregular.verify_irregular(random_word(6, 60, seed=1), recipe)
@@ -284,6 +284,71 @@ def test_bin_counts_hold_one_bin_array_per_thread(monkeypatch, fresh_pool):
         tracemalloc.stop()
     assert counts.sum() == N * N
     assert peak < 4 * 8 * d  # the total and one block's counts per thread
+
+
+# The points of the row-source differential test: no repeated row, x2 period
+# 31 (2^31 = 1 mod SAMPLE_DEN), x2 period 61 on big-integer rows, and the
+# base-6 digit path.
+ROW_SOURCE_POINTS = {
+    "aperiodic": APERIODIC,
+    "period-31": TorusPoint(123456789, irregular.SAMPLE_DEN),
+    "2^61-1": TorusPoint(1, 2**61 - 1),
+    "digit": point_of_word(random_word(6, 50, seed=11)),
+}
+
+
+def grid_outputs(x, N, horizons, rows):
+    """The outputs of empirical_measure (K = 16), fourier_average (k = 1, 5, -7) and
+    convergence_diagnostic (K = 16), each formed from `_grid_sums` over the row source rows."""
+    fourier = {0: 1}
+    for k, (total,) in enumerate(measures._grid_sums(x, 2, rows, [N], 16), start=1):
+        c = complex(total) / N**2
+        if abs(c) > 1.0:
+            c /= abs(c)
+        fourier[k], fourier[-k] = c, c.conjugate()
+    averages = [complex(measures._grid_sums(x, 2, rows, [N], 1, k)[0, 0]) / N**2 for k in (1, 5, -7)]
+    distances = [0.0] * len(horizons)
+    for k, sums in enumerate(measures._grid_sums(x, 2, rows, horizons, 16), start=1):
+        for i, (h, total) in enumerate(zip(horizons, sums)):
+            distances[i] += 2.0 ** (1 - k) * abs(total) / h**2
+    return fourier, averages, distances
+
+
+@pytest.mark.parametrize("x", ROW_SOURCE_POINTS.values(), ids=ROW_SOURCE_POINTS)
+def test_character_sums_from_row_blocks_equal_the_grid_sums(monkeypatch, fresh_pool, x):
+    """The measures read float row blocks, not a grid: bit for bit the sums over orbit_fracs slices, at 1-3 threads.
+
+    The reference grid is r / den, Python's correctly rounded division of
+    each exact residue, and orbit_fracs must equal it.
+    """
+    N, horizons = 70, [70, 23, 36]
+    exact = np.array([[r / x.den for r in row] for blk in torus.orbit_residues(x, 2, 3, N) for row in blk.tolist()])
+    fracs = orbit_fracs(x, 2, 3, N)
+    assert np.array_equal(fracs, exact)
+    want = grid_outputs(x, N, horizons, lambda s, e: fracs[s:e])
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", 3 * N)  # blocks of 3 rows
+    for t in (1, 2, 3):
+        monkeypatch.setattr(torus, "_THREADS", t)
+        got = (
+            measures.empirical_measure(x, 2, 3, N, 7, 16).fourier,
+            [measures.fourier_average(x, 2, 3, N, k) for k in (1, 5, -7)],
+            measures.convergence_diagnostic(x, 2, 3, horizons, 16),
+        )
+        assert got == want, t
+
+
+def test_character_sums_hold_no_grid(monkeypatch, fresh_pool):
+    """fourier_average and empirical_measure at N = 2000 peak below 2 N^2 bytes, a quarter of one float grid."""
+    monkeypatch.setattr(torus, "_THREADS", 2)  # each thread holds one block's temporaries
+    x, N = APERIODIC, 2000
+    for call in (lambda: measures.fourier_average(x, 2, 3, N, 5), lambda: measures.empirical_measure(x, 2, 3, N, 20, 16)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * N * N
 
 
 def test_cli_without_an_orbit_grid_makes_no_pool():

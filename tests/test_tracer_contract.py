@@ -59,8 +59,10 @@ def test_tracer_installs_over_the_library_and_uninstalls():
             module, func = name.split(".")
             assert getattr(MODULES[module], func).__wrapped__ is before[module][func], name
         measures.empirical_measure(TorusPoint(1, 5), 2, 3, 3, 4, 1)
-        assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == 9
         assert tracer.counts[0]["measures.cells"] == 9
+        assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == 0  # the measures read float rows, no grid
+        irregular.membership_X(TorusPoint(1, 5), 1, 3, 2, 3)  # irregular calls orbit_fracs across modules
+        assert tracer.counts[0]["torus.orbit_fracs.int64.cells"] == 9
     finally:
         tracer.uninstall()
     for name, module in MODULES.items():
