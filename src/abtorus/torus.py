@@ -82,8 +82,9 @@ def mult_indep_check(a: int, b: int) -> bool:
 
 # Cells per block of the orbit kernel: about 2^15 int64 cells (256 KiB), so a
 # block and its temporaries stay in cache.  Residue blocks have
-# `_block_rows(N)` rows; `_digit_fracs` certifies diagonals in blocks of
-# about as many digits.
+# `_block_rows(N)` rows.  `_digit_fracs` steps blocks of about twice as many
+# digits, each automaton in one set of eight scratch rows: on two threads,
+# fewer and longer numpy calls beat blocks that fit in cache.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -316,8 +317,8 @@ def _frac_rows(x: TorusPoint, a: int, b: int, N: int, whole: bool = False) -> Ca
             return rows
         grid, P = np.empty((N, N)), _row_period(x, a, N)
         _spread(lambda s, e: rows(s, e, grid[s:e]), P, _block_rows(N))
-        for s in range(P, N, P):  # rows [s, s + P) repeat rows [0, P)
-            grid[s : s + P] = grid[: min(P, N - s)]
+        Q = N // P  # rows [qP, qP + P) repeat rows [0, P): one broadcast copy, then the rest
+        grid[P : Q * P].reshape(Q - 1, P, N)[:], grid[Q * P :] = grid[:P], grid[: N - Q * P]
     return lambda s, e: grid[s:e]
 
 
@@ -356,47 +357,61 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     Cell (m, n) is frac((ab)^s c^j x) with s = min(m, n), j = |m - n| and
     c = a (m >= n) or b (m < n), so diagonal j is the digit state of c^j x
     read from digit s on, and cells with s >= K are 0.  Times a is the
-    local rule d_i <- a (d_i mod b) + d_{i+1} // b, which never carries
-    further and keeps K digits; times b swaps a and b.  The automaton
-    below the diagonal and the one above it run as two `_spread` tasks;
-    both write the main diagonal, with the same values.  Each steps its
-    states in blocks of max(1, _BLOCK_CELLS // (K + 2W)) whole states,
-    finds each state's last nonzero digit with one reverse argmax per
-    block, and writes the cells that `_window_fracs` certifies.  Every
-    other cell is recomputed exactly by `_tail_value` from its digits
-    s .. last, on its own thread, so the grid is the same at any thread
-    count.
+    local rule d_i <- a (d_i mod b) + d_{i+1} // b = a d_i - ab q_i + q_{i+1},
+    q = d // b, which never carries further and keeps K digits; times b
+    swaps a and b.  The automaton below the diagonal and the one above it
+    run as two `_spread` tasks; both write the main diagonal, with the same
+    values.  Each steps its states straight into the rows of a block of
+    max(1, 2 _BLOCK_CELLS // (K + 2W)) whole states, finds each state's
+    last nonzero digit with one reverse argmax per block, and writes the
+    cells that `_window_fracs` certifies: through one strided view when
+    each diagonal d of the block has all S = min(K, N - j) cells, else
+    diagonal by diagonal up to the N - d edge.  Every other cell is
+    recomputed exactly by `_tail_value` from its digits s .. last, on its
+    own thread, so the grid is the same at any thread count.
     """
     ab = a * b
     W = 1
     while ab ** (W + 1) <= 2**53:
         W += 1
-    digits = np.zeros(K + 2 * W, dtype=np.int64)
-    digits[:K] = digits_of(x, ab, K).digits
-    R = max(1, _BLOCK_CELLS // len(digits))
+    L = K + 2 * W
+    R = max(1, 2 * _BLOCK_CELLS // L)
+    first = digits_of(x, ab, K).digits
     out = np.zeros((N, N))
     flat = out.reshape(-1)
     powers = ab ** np.arange(W - 1, -1, -1, dtype=np.int64)  # a W-digit chunk's place values
 
     def automaton(c: int, other: int, below: bool) -> None:
-        state = digits
+        block = np.zeros((R + 1, L), dtype=np.int64)  # row n of an n-state block starts the next block
+        scratch = np.empty((8, R * L))  # a block's digits as doubles, its windows and certificate buffers
+        states = list(block[:, :K])
+        states[0][:] = first
+        qs, t = np.zeros(K + 1, dtype=np.int64), np.empty(K, dtype=np.int64)
+        q, q_next = qs[:K], qs[1:]  # qs[K] stays 0: no digit K carries into digit K - 1
+        # cell s of diagonal d is flat[d N + s (N + 1)] below the diagonal, flat[d + s (N + 1)] above it
+        d_stride, s_stride = (N if below else 1) * out.itemsize, (N + 1) * out.itemsize
         for j in range(0, N, R):
-            block = np.empty((min(R, N - j), len(digits)), dtype=np.int64)
-            for i in range(len(block)):
-                block[i] = state
-                state = _times(state, c, other)
-            nonzero = block[:, ::-1] != 0
-            last = np.where(nonzero.any(axis=1), block.shape[1] - 1 - nonzero.argmax(axis=1), -1)
+            n = min(R, N - j)
+            for now, nxt in zip(states[:n], states[1 : n + 1]):
+                np.floor_divide(now, other, out=q)
+                np.subtract(np.multiply(now, c, out=nxt), np.multiply(q, ab, out=t), out=nxt)
+                nxt += q_next
+            last = L - 1 - (block[:n, ::-1] != 0).argmax(axis=1)
+            last[last == L - 1] = -1  # digit L - 1 is always 0: the state has no nonzero digit
             S = min(K, N - j)
-            vals, ok = _window_fracs(block, last, S, ab, W)
-            for i, d in enumerate(range(j, j + len(block))):
-                diag = flat[d * N :: N + 1] if below else flat[d :: N + 1]
-                diag[: min(S, N - d)] = vals[i, : min(S, N - d)]
+            digits = scratch[0, : n * (S + 2 * W)].reshape(n, -1)
+            digits[:] = block[:n, : S + 2 * W]
+            vals, ok = _window_fracs(digits, last, S, ab, W, scratch[1:, : digits.size])
+            if S <= N - (j + n - 1):  # every diagonal of the block has S cells
+                np.ndarray((n, S), buffer=out, offset=j * d_stride, strides=(d_stride, s_stride))[:] = vals
+            else:
+                for i, d in enumerate(range(j, j + n)):  # diagonal d has N - d cells
+                    (flat[d * N :: N + 1] if below else flat[d :: N + 1])[: min(S, N - d)] = vals[i, : N - d]
             for i, s in zip(*np.nonzero(~ok)):
                 d, s = j + int(i), int(s)
                 if s < N - d:
-                    m, n = (s + d, s) if below else (s, s + d)
-                    out[m, n] = _tail_value(block[i, s : last[i] + 1], ab, powers)
+                    out[(s + d, s) if below else (s, s + d)] = _tail_value(block[i, s : last[i] + 1], ab, powers)
+            block[0] = block[n]
 
     _spread(lambda i, _: automaton(*((a, b, True), (b, a, False))[i]), 2, 1)
     return out
@@ -431,24 +446,16 @@ def _tail_value(tail: np.ndarray, ab: int, powers: np.ndarray) -> float:
         n *= 2
 
 
-def _times(state: np.ndarray, c: int, other: int) -> np.ndarray:
-    """One automaton step: the base-(c*other) digits of frac(c * y) from those of y."""
-    q, r = np.divmod(state, other)
-    out = c * r
-    out[:-1] += q[1:]
-    return out
-
-
 # Veltkamp splitter for doubles, 2^27 + 1, and the unit roundoff 2^-53.
 _SPLIT = 134217729.0
 _U = 2.0**-53
 
 
-def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int):
+def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int, scratch: np.ndarray):
     """Correctly rounded values of the digit tails at shifts s < S, and which are certified.
 
-    Each row of `block` holds every digit of one state, at least S + 2W of
-    them, and last[i] is the index of row i's last nonzero digit (-1 for
+    Row i of `block` holds the first S + 2W or more digits of one state,
+    and last[i] is the index of that state's last nonzero digit (-1 for
     none).  With C = (ab)^W <= 2^53, v1 and v2 the W-digit windows of
     `_digit_windows` at s and s + W and t in [0, 1) the digits after them,
     the cell is y = (v1 + (v2 + t)/C) / C.  For v1 >= 1 the candidate
@@ -456,65 +463,87 @@ def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int):
     f is certified when every rounding and t leave y - f strictly inside
     half the gap below f, so f is the double nearest y.  A cell with only
     zero digits comes out exactly 0.  Near-ties, and v1 = 0 over nonzero
-    digits, stay uncertified: the caller recomputes them exactly.
+    digits, stay uncertified: the caller recomputes them exactly.  Each
+    pass runs over the whole row-major block, in place in the seven rows
+    of `scratch`; the cells past shift S are dropped.
     """
-    V = _digit_windows(block, S, ab, W)
-    v1, v2 = V[:, :S], V[:, W : W + S]
+    v1 = _digit_windows(block, ab, W, scratch).reshape(-1)  # cell s of row i is v1[i * width + s]
     C = float(ab**W)
     c_hi = _SPLIT * C - (_SPLIT * C - C)
     c_lo = C - c_hi
-    hi = v1.astype(float)
-    q = v2 / C  # within u q of v2 / C
-    s = hi + q
-    err = q - (s - hi)  # s + err = v1 + q exactly, as v1 >= q
-    f0 = s / C
-    p = f0 * C
-    big = _SPLIT * f0
-    f_hi = big - (big - f0)
-    f_lo = f0 - f_hi
-    e = ((f_hi * c_hi - p) + f_hi * c_lo + f_lo * c_hi) + f_lo * c_lo  # f0 C = p + e
-    resid = (s - p) - e  # s - p is exact (Sterbenz)
-    rho = resid + err
-    delta = rho / C
-    f = f0 + delta
-    back = f - f0
-    r2 = (f0 - (f - back)) + (delta - back)  # f + r2 = f0 + delta exactly
-    gap = f - np.nextafter(f, -np.inf)
-    half = gap / 2
+    q, s, err, p, hi, e = scratch[1:7]  # rows 1 and 2 held the windows' scratch
+    np.divide(v1[W:], C, out=q[:-W])  # q = v2 / C, within u q of it
+    q[-W:] = 0
+    np.add(v1, q, out=s)
+    np.subtract(q, np.subtract(s, v1, out=err), out=err)  # s + err = v1 + q exactly, as v1 >= q
+    ok = v1 > 0
+    f0 = np.divide(s, C, out=v1)  # the windows are spent
+    np.multiply(f0, C, out=p)
+    s -= p  # exact (Sterbenz)
+    np.multiply(f0, _SPLIT, out=hi)  # f0 = hi + lo, hi = big - (big - f0) for big = _SPLIT f0
+    np.subtract(hi, np.subtract(hi, f0, out=e), out=hi)
+    np.subtract(np.multiply(hi, c_hi, out=e), p, out=e)  # f0 C = p + e, summed left to right
+    e += np.multiply(hi, c_lo, out=p)
+    lo = np.subtract(f0, hi, out=hi)
+    e += np.multiply(lo, c_hi, out=p)
+    e += np.multiply(lo, c_lo, out=lo)
+    resid = np.subtract(s, e, out=s)
+    rho = np.add(resid, err, out=err)
+    delta = np.divide(rho, C, out=p)
     # y - f = r2 + (rho_exact - rho)/C + (rho/C - delta) + t/C^2; the first two
     # errors are below u((q + |resid| + |rho|)/C + |delta|), and the factor 16
     # also covers the roundings of the comparisons below.
-    bound = 16 * _U * (gap + (q + np.abs(resid) + np.abs(rho)) / C + np.abs(delta))
-    tail = np.arange(S) + 2 * W <= last[:, None]
+    bound = np.add(q, np.abs(resid, out=resid), out=q)
+    bound += np.abs(rho, out=rho)
+    f = np.add(f0, delta, out=s)
+    back = np.subtract(f, f0, out=err)
+    # f + r2 = f0 + delta exactly, for r2 = (f0 - (f - back)) + (delta - back)
+    r2 = np.add(np.subtract(f0, np.subtract(f, back, out=e), out=e), np.subtract(delta, back, out=err), out=e)
+    gap = np.subtract(f, _below(f, f0), out=f0)
+    bound /= C
+    bound += gap
+    bound += np.abs(delta, out=delta)
+    bound *= 16 * _U
+    half = np.multiply(gap, 0.5, out=gap)
+    ok &= np.add(r2, half, out=err) > bound
+    room = np.subtract(half, r2, out=half)
     t_max = float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)
-    ok = (v1 > 0) & (r2 + half > bound) & (half - r2 - tail * t_max > bound)
-    return f, ok | (v1 == 0) & (v2 == 0) & ~tail
+    for row, end in zip(room.reshape(block.shape), last.tolist()):  # t > 0 only before shift end - 2W + 1
+        row[: max(0, end - 2 * W + 1)] -= t_max
+    ok &= room > bound
+    for row, end in zip(ok.reshape(block.shape), last.tolist()):  # from shift end + 1 on, every digit is 0 and so is f
+        row[end + 1 :] = True
+    return f.reshape(block.shape)[:, :S], ok.reshape(block.shape)[:, :S]
 
 
-def _digit_windows(block: np.ndarray, S: int, ab: int, W: int) -> np.ndarray:
-    """V[:, i]: the integer of digits i .. i+W-1 of each row of `block`, for i < S + W.
+def _below(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The double below each double f > 0, into out: its bit pattern as an int64, less one."""
+    return np.subtract(f.view(np.int64), 1, out=out.view(np.int64)).view(np.float64)
 
-    Windows of width 1, 2, 4, ... double by one multiply-add each,
-    w_2k[i] = w_k[i] (ab)^k + w_k[i + k]; the set bits of W then join
-    them from the widest down: for W = 20, w_16 (ab)^4 + w_4[i + 16].  That
-    is floor(log2 W) + popcount(W) - 1 passes in place of W - 1 Horner
-    steps, and every value stays below (ab)^W <= 2^53.
+
+def _digit_windows(block: np.ndarray, ab: int, W: int, scratch: np.ndarray) -> np.ndarray:
+    """V[i, s]: the integer of digits s .. s+W-1 of row i of `block`, as a double, for s <= width - W.
+
+    V is row 0 of `scratch`, and each pass runs over the rows laid end to
+    end, with zeros past the last.  Windows of width 1, 2, 4, ... double by
+    one multiply-add each, w_2k[p] = w_k[p] (ab)^k + w_k[p + k], into rows 1
+    and 2 in turn; the set bits of W join them from the narrowest up: for
+    W = 20, V = w_4 (ab)^16 + w_16[p + 4], floor(log2 W) + popcount(W) - 1
+    steps in place of W - 1.  Every value is an integer below
+    (ab)^W <= 2^53, so each step is exact in doubles.
     """
-    w, k, parts = block[:, : S + 2 * W - 1], 1, []
+    V, buffers, w, k, width = scratch[0], scratch[1:3], block.reshape(-1), 1, 0
+    V[:] = 0
     while True:
-        if W & k:
-            parts.append((k, w))
+        if W & k:  # V, the first `width` digits of each window, takes the next k
+            V *= ab**k
+            V[: V.size - width] += w[width:]
+            width += k
         if 2 * k > W:
-            break
-        w2 = w[:, :-k] * ab**k
-        w2 += w[:, k:]
+            return V.reshape(block.shape)
+        w2 = np.multiply(w, ab**k, out=buffers[k.bit_length() % 2])
+        w2[:-k] += w[k:]
         w, k = w2, 2 * k
-    width, V = parts.pop()
-    V = V[:, : S + W]
-    for k, w in reversed(parts):
-        V = V * ab**k + w[:, width : width + S + W]
-        width += k
-    return V
 
 
 def digits_of(x: TorusPoint, base: int, L: int) -> DigitWord:

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from abtorus import choose_schedule, synthesize_point, verify_irregular
+from abtorus import choose_schedule, synthesize_point, torus, verify_irregular
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A pool made in the test with the patched `_THREADS`, shut down after it."""
+    monkeypatch.setattr(torus, "_pool", None)
+    yield
+    if torus._pool is not None:
+        torus._pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtorus import DigitWord, TorusPoint, measures, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
+from abtorus import (
+    DigitWord, TorusPoint, digits_of, measures, orbit_fracs, orbit_grid, orbit_residues, point_of_word, torus
+)
 from abtorus.measures import _character_sums, _interval_test
 from abtorus.torus import _bin_counts, _digit_length
 
@@ -429,12 +431,57 @@ def test_digit_path_matches_residues(word, N):
         (point_of_word(DigitWord(6, [4, 1, 5, 2, 3] + [0] * 70 + [1, 3, 5, 2, 4] * 12)), 30),
     ],
 )
-@pytest.mark.parametrize("states", [0, 3])  # _BLOCK_CELLS = 1, and blocks of 3 whole states
-def test_digit_blocks_of_whole_states_match_residues(monkeypatch, x, N, states):
+@pytest.mark.parametrize("states", [0, 1, 2, 3])  # _BLOCK_CELLS = 1, and blocks of 1-3 whole states
+def test_digit_blocks_of_whole_states_match_residues(monkeypatch, fresh_pool, x, N, states):
+    """At 1-3 threads: a block is written through one view when each of its diagonals d
+    has all S = min(K, N - j) cells, and diagonal by diagonal when the N - d edge cuts it."""
     K = _digit_length(x, 3, 2)
     assert K
-    monkeypatch.setattr(torus, "_BLOCK_CELLS", max(1, states * (K + 40)))  # 2W = 40 digits in base 6
-    check_against_residues(x, 3, 2, N)
+    L = K + 40  # 2W = 40 digits in base 6
+    monkeypatch.setattr(torus, "_BLOCK_CELLS", max(1, -(-states * L // 2)))  # 2 _BLOCK_CELLS // L = states
+    R = max(1, states)
+    cut = [min(K, N - j) > N - (j + min(R, N - j) - 1) for j in range(0, N, R)]
+    assert any(cut) == (R > 1) and (not all(cut) or K > N)  # one state never meets the edge
+    heights = []
+    certify = torus._window_fracs
+
+    def spy(block, *args):
+        heights.append(len(block))
+        return certify(block, *args)
+
+    monkeypatch.setattr(torus, "_window_fracs", spy)
+    monkeypatch.setattr(torus, "_THREADS", 1)
+    fracs = check_against_residues(x, 3, 2, N)
+    assert max(heights) == R
+    for threads in (2, 3):
+        if torus._pool is not None:
+            torus._pool.shutdown()
+        monkeypatch.setattr(torus, "_pool", None)  # a pool of threads - 1 helpers
+        monkeypatch.setattr(torus, "_THREADS", threads)
+        assert np.array_equal(orbit_fracs(x, 3, 2, N), fracs)
+
+
+def test_bit_pattern_below_is_nextafter(monkeypatch):
+    """The double below f > 0 from its bit pattern, on random positive doubles (subnormals
+    included) and on the kernel's own cells of 2^-40, which reach 1/2 = 0.3, 1/4 = 0.13 and
+    1/8 = 0.043 in base 6: the gap below a power of two is half the gap above it."""
+    f = np.random.default_rng(0).integers(1, 0x7FF0000000000000, 100_000).view(np.float64)
+    assert np.array_equal(torus._below(f, np.empty_like(f)), np.nextafter(f, -np.inf))
+    seen = set()
+    below = torus._below
+
+    def checked(f, out):
+        pos = f > 0
+        want = np.nextafter(f[pos], -np.inf)
+        seen.update(f[pos][np.log2(f[pos]) % 1 == 0].tolist())
+        res = below(f, out)
+        assert np.array_equal(res[pos], want)
+        return res
+
+    monkeypatch.setattr(torus, "_below", checked)
+    x = point_of_word(digits_of(TorusPoint(1, 2**40), 6, 40))
+    check_against_residues(x, 2, 3, 40)
+    assert {0.5, 0.25, 0.125} <= seen
 
 
 WINDOW_BASES = [(4, 26), (6, 20), (10, 15), (24, 11), (2**11 * 6**5, 2)]  # ab and its window width W
@@ -458,7 +505,7 @@ def test_doubled_windows_equal_horner_windows(ab, W, rows):
     for S in (1, 2, 7, 31, 64):
         shape = (5, S + 2 * W + int(rng.integers(0, 9)))
         block = rng.integers(0, ab, shape) if rows == "random" else np.full(shape, ab - 1)
-        V = torus._digit_windows(block, S, ab, W)
+        V = torus._digit_windows(block, ab, W, np.empty((3, block.size)))[:, : S + W]
         assert np.array_equal(V, horner_windows(block, S, ab, W))
         if rows == "top":
             assert V.max() == ab**W - 1

@@ -1,4 +1,5 @@
 """The N^2 kernels give the same output at any thread count, and keep their threads to themselves."""
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -36,15 +37,6 @@ POINTS = {
 # the prime 10^9 + 7 is 500000003.  On den 2^31 - 1 every grid has only 31
 # distinct rows, which fit in one block, so no second thread would start.
 APERIODIC = TorusPoint(123456789, 1_000_000_007)
-
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """A pool made in the test with the patched `_THREADS`, shut down after it."""
-    monkeypatch.setattr(torus, "_pool", None)
-    yield
-    if torus._pool is not None:
-        torus._pool.shutdown()
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,6 +121,22 @@ def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool
     for t in (1, 2, 3):
         monkeypatch.setattr(torus, "_THREADS", t)
         assert np.array_equal(orbit_fracs(x, 2, 3, N), exact)
+
+
+# sha256 of the little-endian float64 bytes of the 2493^2 verify grid of the
+# depth-2 seed-0 word (K = 1246 digits).  Every cell is the correctly rounded
+# double, so no rewrite of the digit kernel may move a bit of it.
+SEED0_GRID_SHA256 = "62f0e5ef16e9e4101f6e2ee541718ea68462107fcd17dafecaaa375d8f956c63"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_seed0_verify_grid_is_pinned(monkeypatch, fresh_pool, synth_d2, threads):
+    word, recipe = synth_d2
+    x, L = point_of_word(word), recipe.schedule.L[-1]
+    assert (L, torus._digit_length(x, 2, 3)) == (2493, 1246)
+    monkeypatch.setattr(torus, "_THREADS", threads)
+    grid = np.ascontiguousarray(orbit_fracs(x, 2, 3, L), dtype="<f8")
+    assert hashlib.sha256(grid.data).hexdigest() == SEED0_GRID_SHA256
 
 
 # A depth-3 schedule on a 48-digit word with a zero block before each L_k,
