@@ -138,9 +138,9 @@ class ScheduleError(RuntimeError):
         self.estimate = estimate
 
 
-def _grid_rows(x: TorusPoint, a: int, b: int, N: int):
-    """rows(s, e): slices of one whole `orbit_fracs` grid, the one grid a membership or verify call makes."""
-    fracs = orbit_fracs(x, a, b, N)
+def _grid_rows(x: TorusPoint, a: int, b: int, N: int, margin: int = 0):
+    """rows(s, e): slices of one whole `orbit_fracs` grid of side N + margin, the one grid a membership or verify call makes."""
+    fracs = orbit_fracs(x, a, b, N + margin)
     return lambda s, e: fracs[s:e]
 
 
@@ -361,8 +361,8 @@ def verify_irregular(word: DigitWord, recipe: IrregularRecipe) -> IrregularRepor
     bump_threshold = float((1 - Fraction(sched.r)) ** 2 / 2)
     rows = _grid_rows(x, sched.a, sched.b, sched.L[-1])
     family = build_test_family(sched.depth)
-    sums = _grid_sums(x, sched.a, rows, list(sched.N), family[-1].freq)
-    (bumps,) = _corner_totals(x, sched.a, list(sched.L), lambda s, e: [bump(rows(s, e))], 1, float)
+    sums = _grid_sums(x, sched.a, sched.b, rows, list(sched.N), family[-1].freq)
+    (bumps,) = _corner_totals(x, sched.a, list(sched.L), lambda s, e: [bump(rows(s, e))], [(0, 0)], float)
     levels = []
     for k, N_k, L_k, total in zip(range(1, sched.depth + 1), sched.N, sched.L, bumps):
         averages = [f.average(sums[:, k - 1] / N_k**2) for f in family[:k]]

@@ -145,10 +145,12 @@ def _frequency(k: int, den: int) -> int:
 def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, k: int = 1, source=None) -> np.ndarray:
     """sums[j, i]: e^(2 pi i (j+1) k a^m b^n x) summed over m, n < horizons[i], for 0 <= j < K.
 
-    `_grid_sums` over the rows of source(x, a, b, max(horizons)), with k
+    `_grid_sums` over source(x, a, b, N, margin): rows of side N + margin,
+    N = max(horizons), margin = floor(log_min(a,b) K) the most rows or
+    columns a shifted plane reads past N, which is not a grid side.  k is
     reduced mod den; the source is made only after every bound below is
-    checked, and K = 0 makes none.  It is `torus._frac_rows` by default,
-    so off the digit path no N x N float grid is held, at any K.
+    checked, and K = 0 makes none.  It is `torus._frac_rows` by default, so
+    off the digit path no N x N float grid is held, at any K.
     """
     H = len(horizons)
     if K > MAX_SUMS // H:  # the row sums take 16 K H N bytes: 512 MiB at N = MAX_SIDE
@@ -160,28 +162,45 @@ def _character_sums(x: TorusPoint, a: int, b: int, horizons: list[int], K: int, 
     k, N = _frequency(k, x.den), max(horizons)
     if K == 0:
         return np.zeros((0, H), dtype=complex)
-    return _grid_sums(x, a, (source or _frac_rows)(x, a, b, N), horizons, K, k)
+    margin = sum(min(a, b) ** m <= K for m in range(1, K.bit_length()))
+    return _grid_sums(x, a, b, (source or _frac_rows)(x, a, b, N, margin), horizons, K, k)
 
 
-def _grid_sums(x: TorusPoint, a: int, rows: Callable, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
-    """sums[j, i] of `_character_sums`, read off a float row source of an orbit grid of x at least max(horizons) wide.
+def _grid_sums(x: TorusPoint, a: int, b: int, rows: Callable, horizons: list[int], K: int, k: int = 1) -> np.ndarray:
+    """sums[j, i] of `_character_sums`, read off a float row source of an orbit grid of x.
 
-    rows(s, e) gives grid rows s .. e-1, as `torus._frac_rows` does.  They
-    are read in `_corner_totals` row blocks, up to the `_row_period`, as
-    rows(s, e)[:, :max(horizons)]: each cell of e1 = e(k f), |k| <
-    PHASE_LIMIT, is made in its block by `_phases`, and its powers by z *= e1.
+    With j = u a^alpha b^beta (a divided out, then b), e(j a^m b^n x) =
+    e(u a^(m+alpha) b^(n+beta) x): plane j over m, n < h is plane u over
+    rows [alpha, alpha + h) and columns [beta, beta + h).  rows(s, e) gives
+    grid rows s .. e-1, as `torus._frac_rows` does, at least max(horizons)
+    + max(alpha, beta) wide and long, read in `_corner_totals` row blocks
+    up to the `_row_period`: e1 = e(k f), |k| < PHASE_LIMIT, is made in its
+    block by `_phases`, and the planes u up to the largest needed by z *= e1,
+    each yielded from column beta once per (u, beta) window.
     """
-    N = max(horizons)
+    shifts = []
+    for j in range(1, K + 1):
+        u, alpha, beta = j, 0, 0
+        while u % a == 0:
+            u, alpha = u // a, alpha + 1
+        while u % b == 0:
+            u, beta = u // b, beta + 1
+        shifts.append((u, alpha, beta))
+    windows = sorted({(u, beta) for u, _, beta in shifts})
+    index = {window: i for i, window in enumerate(windows)}
+    width = max(horizons) + max(beta for _, beta in windows)
 
-    def powers(s: int, e: int) -> Iterable[np.ndarray]:
-        e1 = _phases(rows(s, e)[:, :N], k)
-        z = e1.copy()
-        for j in range(K):
-            if j:
+    def planes(s: int, e: int) -> Iterable[np.ndarray]:
+        e1 = _phases(rows(s, e)[:, :width], k)
+        z, power = (e1.copy() if windows[-1][0] > 1 else e1), 1
+        for u, beta in windows:
+            while power < u:
                 z *= e1
-            yield z
+                power += 1
+            yield z[:, beta:]
 
-    return _corner_totals(x, a, horizons, powers, K, complex)
+    outputs = [(index[u, beta], alpha) for u, alpha, beta in shifts]
+    return _corner_totals(x, a, horizons, planes, outputs, complex)
 
 
 def fourier_average(x: TorusPoint, a: int, b: int, N: int, k: int) -> complex:
@@ -259,7 +278,7 @@ def semiequidist_profile(
     if cells > MAX_COUNT_CELLS:
         raise ValueError(f"--horizons would read {cells} cells (h^2 summed over distinct horizons), above the limit 2^32")
     rows, inside = _residue_rows(x, a, b, horizons[-1]), _interval_test(x.den, lo, hi)
-    (counts,) = _corner_totals(x, a, horizons, lambda s, e: [inside(rows(s, e))], 1, np.int32)  # a row count is <= N
+    (counts,) = _corner_totals(x, a, horizons, lambda s, e: [inside(rows(s, e))], [(0, 0)], np.int32)  # a row count is <= N
     measure = float(min(hi - lo, Fraction(1)))
     ratios = [int(c) / N**2 for N, c in zip(horizons, counts)]
     tail = ratios[-max(1, len(ratios) // 4) :]

@@ -150,8 +150,8 @@ def _check_grid(a: int, b: int, N: int) -> None:
         raise ValueError(f"N = {N} exceeds the grid side limit {MAX_SIDE}")
 
 
-def _residue_rows(x: TorusPoint, a: int, b: int, N: int) -> Callable[[int, int], np.ndarray]:
-    """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues`, after `_check_grid`.
+def _residue_rows(x: TorusPoint, a: int, b: int, N: int, margin: int = 0) -> Callable[[int, int], np.ndarray]:
+    """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues` at side N + margin, after `_check_grid` of N.
 
     For den < 2^31 the columns num a^m and b^n mod den come from
     `_power_column`, and an int64 block is their outer product, reduced
@@ -161,7 +161,7 @@ def _residue_rows(x: TorusPoint, a: int, b: int, N: int) -> Callable[[int, int],
     outer product.
     """
     _check_grid(a, b, N)
-    den = x.den
+    den, N = x.den, N + margin
     if den < 2**31:
         acol, bcol = _power_column(x.num, a, den, N), _power_column(1, b, den, N)
 
@@ -265,49 +265,52 @@ def _bin_counts(x: TorusPoint, a: int, b: int, N: int, d: int) -> np.ndarray:
 
 
 def _corner_totals(
-    x: TorusPoint, a: int, horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], P: int, dtype
+    x: TorusPoint, a: int, horizons: list[int], planes: Callable[[int, int], Iterable[np.ndarray]], outputs: list[tuple[int, int]], dtype
 ) -> np.ndarray:
-    """totals[p, i]: plane p of the grid of x summed over its corner m, n < horizons[i], for p < P.
+    """totals[o, i]: plane p of the grid of x summed over rows [alpha, alpha + h) and columns [0, h), h = horizons[i], for o = (p, alpha).
 
-    planes(s, e) yields the P planes of grid rows s .. e-1, in the `_spread`
-    row blocks of a max(horizons)-wide grid; each is read before the next is
-    asked for.  Only the rows before the `_row_period` of x under a are
-    asked for: row m's sum over its first h columns, rows[p, i, m] with one
-    i per distinct horizon, is that of row m mod the period.  A total is the
-    sum of the first h row sums, so it is the same at any block size, thread
-    count or set of other horizons.
+    planes(s, e) yields the planes 0, 1, ... of grid rows s .. e-1, in the
+    `_spread` row blocks of a max(horizons)-wide grid; each is read before
+    the next is asked for.  Only the rows before the `_row_period` of x
+    under a, found over the N + max(alpha) rows read, are asked for: row
+    m's sum over its first h columns, rows[p, i, m] with one i per distinct
+    horizon, is that of row m mod the period.  A total is the sum of h row
+    sums from row alpha, so it is the same at any block size, thread count
+    or set of other horizons.
     """
     N, distinct = max(horizons), sorted(set(horizons))
-    period = _row_period(x, a, N)
-    rows = np.zeros((P, len(distinct), period), dtype=dtype)
+    depth = dict(sorted(outputs))  # plane p's largest alpha: it is read to row h + depth[p]
+    reach = N + max(depth.values())
+    period = _row_period(x, a, reach)
+    rows = np.zeros((len(depth), len(distinct), period), dtype=dtype)
 
     def task(s: int, e: int) -> None:
         for p, plane in enumerate(planes(s, e)):
             for i, h in enumerate(distinct):
-                if s < h:
-                    rows[p, i, s : min(e, h)] = plane[: h - s, :h].sum(axis=1)
+                if s < h + depth[p]:
+                    rows[p, i, s : min(e, h + depth[p])] = plane[: h + depth[p] - s, :h].sum(axis=1)
 
     _spread(task, period, _block_rows(N))
-    rows = rows[..., np.arange(N) % period]
+    rows = rows[..., np.arange(reach) % period]
     column = {h: i for i, h in enumerate(distinct)}
-    return np.array([[rows[p, column[h], :h].sum() for h in horizons] for p in range(P)])
+    return np.array([[rows[p, column[h], alpha : alpha + h].sum() for h in horizons] for p, alpha in outputs])
 
 
-def _frac_rows(x: TorusPoint, a: int, b: int, N: int, whole: bool = False) -> Callable[[int, int], np.ndarray]:
-    """rows(s, e): rows s .. e-1 of the float grid of `orbit_fracs`, after `_check_grid`.
+def _frac_rows(x: TorusPoint, a: int, b: int, N: int, margin: int = 0, whole: bool = False) -> Callable[[int, int], np.ndarray]:
+    """rows(s, e): rows s .. e-1 of the float grid of `orbit_fracs` at side N + margin, after `_check_grid` of N.
 
     The one place the path is chosen.  On the digit path (`_digit_length`
     nonzero) a block is a slice of the whole `_digit_fracs` grid.
     Otherwise a block is its `_residue_rows` block divided by den when it
-    is read, so no N x N array is held; with whole, a block is a slice of
-    the grid these divisions fill first, as `orbit_fracs` describes.
+    is read, so no N x N array is held; with whole (no margin), a block is
+    a slice of the grid these divisions fill first, as `orbit_fracs` does.
     """
     _check_grid(a, b, N)
     K = _digit_length(x, a, b)
     if K:
-        grid = _digit_fracs(x, a, b, N, K)
+        grid = _digit_fracs(x, a, b, N + margin, K)
     else:
-        residues = _residue_rows(x, a, b, N)
+        residues = _residue_rows(x, a, b, N, margin)
 
         def rows(s: int, e: int, out: np.ndarray | None = None) -> np.ndarray:
             block = residues(s, e)  # without a float out, an object block would divide into Python floats

@@ -313,10 +313,16 @@ def test_periodic_row_sums_equal_the_sums_of_every_row(monkeypatch, x, a, b, P):
     ],
 )
 def test_corner_totals_ask_only_for_the_rows_before_the_period(monkeypatch, x, N, P):
-    """The planes are asked for row spans that tile [0, P), and the totals are those of the whole grid."""
+    """The planes are asked for row spans that tile [0, P), and the totals are those of the whole grid.
+
+    A second output reads the same plane from row 2, so the rows read reach
+    N + 2 and an aperiodic grid's period is N + 2.
+    """
     monkeypatch.setattr(torus, "_BLOCK_CELLS", 8 * N)  # 8-row blocks: several below every period but 3
     assert torus._row_period(x, 2, N) == P
-    rows, inside = torus._residue_rows(x, 2, 3, N), _interval_test(x.den, Fraction(1, 5), Fraction(7, 10))
+    period = P if P < N else N + 2
+    assert torus._row_period(x, 2, N + 2) == period
+    rows, inside = torus._residue_rows(x, 2, 3, N, 2), _interval_test(x.den, Fraction(1, 5), Fraction(7, 10))
     asked = []
 
     def planes(s, e):
@@ -324,11 +330,12 @@ def test_corner_totals_ask_only_for_the_rows_before_the_period(monkeypatch, x, N
         return [inside(rows(s, e))]
 
     horizons = [N, 1, P, N // 2, N - 1]
-    (totals,) = torus._corner_totals(x, 2, horizons, planes, 1, np.int32)
+    plain, shifted = torus._corner_totals(x, 2, horizons, planes, [(0, 0), (0, 2)], np.int32)
     asked.sort()
-    assert [s for s, _ in asked] == [0] + [e for _, e in asked[:-1]] and asked[-1][1] == P
-    grid = inside(np.array(exact_residues(x, 2, 3, N), dtype=object))
-    assert totals.tolist() == [int(grid[:h, :h].sum()) for h in horizons]
+    assert [s for s, _ in asked] == [0] + [e for _, e in asked[:-1]] and asked[-1][1] == period
+    grid = inside(np.array(exact_residues(x, 2, 3, N + 2), dtype=object))
+    assert plain.tolist() == [int(grid[:h, :h].sum()) for h in horizons]
+    assert shifted.tolist() == [int(grid[2 : h + 2, :h].sum()) for h in horizons]
 
 
 def reference_membership(y: Fraction, lo: Fraction, hi: Fraction) -> bool:

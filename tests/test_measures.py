@@ -318,6 +318,55 @@ def test_character_sums_match_exact_phases(num, den, N, horizons, k):
         assert abs(got - want) < 1e-13
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 2)]),
+    st.sampled_from(["periodic", "int64", "object", "digit"]),
+    st.integers(1, 2**70),
+    st.integers(1, 20),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
+def test_shifted_character_sums_match_exact_phases(pair, path, num, K, horizons, threads):
+    """Plane j = u a^alpha b^beta is plane u read from row alpha and column beta: each sum within 1e-13 per cell of the exact phases.
+
+    K <= 20 shifts by up to 4 rows or columns, past horizons as small as 1.
+    The rows of den 7 repeat with period 3 or 6, so the shifted rows wrap
+    the `_row_period`; the other paths are int64, big-integer and the
+    base-ab digit automaton.  Blocks of 1-2 rows run on 1-3 threads.
+    """
+    a, b = pair
+    x = TorusPoint(num, {"periodic": 7, "int64": 1000003, "object": 3**40 + 2, "digit": (a * b) ** 20}[path])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "_THREADS", threads)
+        mp.setattr(torus, "_BLOCK_CELLS", 16)
+        mp.setattr(torus, "_pool", None)
+        try:
+            got = measures._character_sums(x, a, b, horizons, K)
+        finally:
+            if torus._pool is not None:
+                torus._pool.shutdown()
+    for i, h in enumerate(horizons):
+        corner = [pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den for m in range(h) for n in range(h)]
+        for j in range(1, K + 1):
+            assert abs(got[j - 1, i] - exact_phase_sum(corner, x.den, j)) < 1e-13 * h * h, (j, h)
+
+
+@pytest.mark.parametrize("x", [TorusPoint(1, 7), point_of_word(random_word(6, 40, seed=3))])
+@pytest.mark.parametrize("K", [2, 16])
+def test_shift_margin_is_not_a_grid_side_before_any_grid(monkeypatch, x, K):
+    """At N = MAX_SIDE, K >= 2 reads rows and columns past N, and every check passes up to the first grid work."""
+    monkeypatch.setattr(torus, "_power_column", no_grid)  # the int64 rows' first work
+    monkeypatch.setattr(torus, "_digit_fracs", no_grid)
+    N = torus.MAX_SIDE
+    with pytest.raises(NoGrid):
+        empirical_measure(x, 2, 3, N, 7, K)
+    with pytest.raises(NoGrid):
+        convergence_diagnostic(x, 2, 3, [5, N], K)
+    with pytest.raises(ValueError, match=f"^N = {N + 1} exceeds the grid side limit {N}$"):
+        convergence_diagnostic(x, 2, 3, [5, N + 1], K)
+
+
 def test_fourier_average_reduces_k_mod_den_before_the_phase():
     """k = 123456789012345678901 is -250369 mod 1000003; each cell is then within
     (6.5 + 2 pi |k'|) 2^-53 of e(k' f), and f within 2^-53 of r / den."""

@@ -255,18 +255,18 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, fresh_pool):
 
     monkeypatch.setattr(torus, "_spread", recorded_spread)
     x = APERIODIC
-    assert torus._row_period(x, 2, 400) == 400
+    assert torus._row_period(x, 2, 404) == 404  # K = 16 reads plane 16 as plane 1 from row 4
     assert irregular.membership_X(x, 2, 400, 2, 3)
     assert len(workers) == 2  # the int64 rows did run on two threads
     threads_per_kernel()
-    measures.empirical_measure(x, 2, 3, 400, 10, 2)
+    measures.empirical_measure(x, 2, 3, 400, 10, 16)
     assert len(workers) == 2  # the bin counts, and the float rows read inside their character sums
     assert threads_per_kernel() == {"_bin_counts": 2, "_corner_totals": 2}
     measures.semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [200, 400], 0.5)
     assert len(workers) == 2  # the residue rows and their interval counts
     assert threads_per_kernel() == {"_corner_totals": 2}
     for call in (lambda: measures.fourier_average(x, 2, 3, 400, 3),
-                 lambda: measures.convergence_diagnostic(x, 2, 3, [400, 200], 2)):
+                 lambda: measures.convergence_diagnostic(x, 2, 3, [400, 200], 16)):
         call()
         assert len(workers) == 2  # the float rows, read inside their character sums
         assert threads_per_kernel() == {"_corner_totals": 2}
@@ -309,14 +309,14 @@ def grid_outputs(x, N, horizons, rows):
     """The outputs of empirical_measure (K = 16), fourier_average (k = 1, 5, -7) and
     convergence_diagnostic (K = 16), each formed from `_grid_sums` over the row source rows."""
     fourier = {0: 1}
-    for k, (total,) in enumerate(measures._grid_sums(x, 2, rows, [N], 16), start=1):
+    for k, (total,) in enumerate(measures._grid_sums(x, 2, 3, rows, [N], 16), start=1):
         c = complex(total) / N**2
         if abs(c) > 1.0:
             c /= abs(c)
         fourier[k], fourier[-k] = c, c.conjugate()
-    averages = [complex(measures._grid_sums(x, 2, rows, [N], 1, k)[0, 0]) / N**2 for k in (1, 5, -7)]
+    averages = [complex(measures._grid_sums(x, 2, 3, rows, [N], 1, k)[0, 0]) / N**2 for k in (1, 5, -7)]
     distances = [0.0] * len(horizons)
-    for k, sums in enumerate(measures._grid_sums(x, 2, rows, horizons, 16), start=1):
+    for k, sums in enumerate(measures._grid_sums(x, 2, 3, rows, horizons, 16), start=1):
         for i, (h, total) in enumerate(zip(horizons, sums)):
             distances[i] += 2.0 ** (1 - k) * abs(total) / h**2
     return fourier, averages, distances
@@ -327,11 +327,12 @@ def test_character_sums_from_row_blocks_equal_the_grid_sums(monkeypatch, fresh_p
     """The measures read float row blocks, not a grid: bit for bit the sums over orbit_fracs slices, at 1-3 threads.
 
     The reference grid is r / den, Python's correctly rounded division of
-    each exact residue, and orbit_fracs must equal it.
+    each exact residue, and orbit_fracs must equal it.  It is 4 rows and
+    columns wider than N: at K = 16 = 2^4, plane 16 is plane 1 read from row 4.
     """
-    N, horizons = 70, [70, 23, 36]
-    exact = np.array([[r / x.den for r in row] for blk in torus.orbit_residues(x, 2, 3, N) for row in blk.tolist()])
-    fracs = orbit_fracs(x, 2, 3, N)
+    N, horizons, margin = 70, [70, 23, 36], 4
+    exact = np.array([[r / x.den for r in row] for blk in torus.orbit_residues(x, 2, 3, N + margin) for row in blk.tolist()])
+    fracs = orbit_fracs(x, 2, 3, N + margin)
     assert np.array_equal(fracs, exact)
     want = grid_outputs(x, N, horizons, lambda s, e: fracs[s:e])
     monkeypatch.setattr(torus, "_BLOCK_CELLS", 3 * N)  # blocks of 3 rows
