@@ -366,12 +366,11 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     run as two `_spread` tasks; both write the main diagonal, with the same
     values.  Each steps its states straight into the rows of a block of
     max(1, 2 _BLOCK_CELLS // (K + 2W)) whole states, finds each state's
-    last nonzero digit with one reverse argmax per block, and writes the
-    cells that `_window_fracs` certifies: through one strided view when
-    each diagonal d of the block has all S = min(K, N - j) cells, else
-    diagonal by diagonal up to the N - d edge.  Every other cell is
+    last nonzero digit with one reverse argmax per block, and finishes the
+    block before writing it: every cell `_window_fracs` does not certify is
     recomputed exactly by `_tail_value` from its digits s .. last, on its
-    own thread, so the grid is the same at any thread count.
+    own thread, so the grid is the same at any thread count.  Then each
+    diagonal d is written, its S = min(K, N - j) cells cut at the N - d edge.
     """
     ab = a * b
     W = 1
@@ -391,8 +390,6 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
         states[0][:] = first
         qs, t = np.zeros(K + 1, dtype=np.int64), np.empty(K, dtype=np.int64)
         q, q_next = qs[:K], qs[1:]  # qs[K] stays 0: no digit K carries into digit K - 1
-        # cell s of diagonal d is flat[d N + s (N + 1)] below the diagonal, flat[d + s (N + 1)] above it
-        d_stride, s_stride = (N if below else 1) * out.itemsize, (N + 1) * out.itemsize
         for j in range(0, N, R):
             n = min(R, N - j)
             for now, nxt in zip(states[:n], states[1 : n + 1]):
@@ -405,15 +402,10 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
             digits = scratch[0, : n * (S + 2 * W)].reshape(n, -1)
             digits[:] = block[:n, : S + 2 * W]
             vals, ok = _window_fracs(digits, last, S, ab, W, scratch[1:, : digits.size])
-            if S <= N - (j + n - 1):  # every diagonal of the block has S cells
-                np.ndarray((n, S), buffer=out, offset=j * d_stride, strides=(d_stride, s_stride))[:] = vals
-            else:
-                for i, d in enumerate(range(j, j + n)):  # diagonal d has N - d cells
-                    (flat[d * N :: N + 1] if below else flat[d :: N + 1])[: min(S, N - d)] = vals[i, : N - d]
             for i, s in zip(*np.nonzero(~ok)):
-                d, s = j + int(i), int(s)
-                if s < N - d:
-                    out[(s + d, s) if below else (s, s + d)] = _tail_value(block[i, s : last[i] + 1], ab, powers)
+                vals[i, s] = _tail_value(block[i, s : last[i] + 1], ab, powers)
+            for i, d in enumerate(range(j, j + n)):  # cell s of diagonal d: (s + d, s) below, (s, s + d) above
+                (flat[d * N :: N + 1] if below else flat[d :: N + 1])[: min(S, N - d)] = vals[i, : N - d]
             block[0] = block[n]
 
     _spread(lambda i, _: automaton(*((a, b, True), (b, a, False))[i]), 2, 1)
@@ -464,11 +456,12 @@ def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int, 
     the cell is y = (v1 + (v2 + t)/C) / C.  For v1 >= 1 the candidate
     f = f0 + rho/C takes rho = v1 + v2/C - f0 C from a Dekker two-product;
     f is certified when every rounding and t leave y - f strictly inside
-    half the gap below f, so f is the double nearest y.  A cell with only
-    zero digits comes out exactly 0.  Near-ties, and v1 = 0 over nonzero
-    digits, stay uncertified: the caller recomputes them exactly.  Each
-    pass runs over the whole row-major block, in place in the seven rows
-    of `scratch`; the cells past shift S are dropped.
+    half the gap below f, so f is the double nearest y; t/C^2 is taken at
+    its bound (ab)^-2W in every cell.  A cell with only zero digits comes
+    out exactly 0.  Near-ties, and v1 = 0 over nonzero digits, stay
+    uncertified: the caller recomputes them exactly.  Each pass runs over
+    the whole row-major block, in place in the seven rows of `scratch`;
+    the cells past shift S are dropped.
     """
     v1 = _digit_windows(block, ab, W, scratch).reshape(-1)  # cell s of row i is v1[i * width + s]
     C = float(ab**W)
@@ -510,9 +503,7 @@ def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int, 
     half = np.multiply(gap, 0.5, out=gap)
     ok &= np.add(r2, half, out=err) > bound
     room = np.subtract(half, r2, out=half)
-    t_max = float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)
-    for row, end in zip(room.reshape(block.shape), last.tolist()):  # t > 0 only before shift end - 2W + 1
-        row[: max(0, end - 2 * W + 1)] -= t_max
+    room -= float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)  # at least t/C^2 < (ab)^-2W, in every cell
     ok &= room > bound
     for row, end in zip(ok.reshape(block.shape), last.tolist()):  # from shift end + 1 on, every digit is 0 and so is f
         row[end + 1 :] = True

@@ -440,8 +440,8 @@ def test_digit_path_matches_residues(word, N):
 )
 @pytest.mark.parametrize("states", [0, 1, 2, 3])  # _BLOCK_CELLS = 1, and blocks of 1-3 whole states
 def test_digit_blocks_of_whole_states_match_residues(monkeypatch, fresh_pool, x, N, states):
-    """At 1-3 threads: a block is written through one view when each of its diagonals d
-    has all S = min(K, N - j) cells, and diagonal by diagonal when the N - d edge cuts it."""
+    """At 1-3 threads, on blocks with and without diagonals cut by the N - d edge: a diagonal d
+    of the block at state j has S = min(K, N - j) cells, and N - d of them when the edge cuts it."""
     K = _digit_length(x, 3, 2)
     assert K
     L = K + 40  # 2W = 40 digits in base 6

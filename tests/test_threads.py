@@ -102,15 +102,26 @@ ZERO_RUN = point_of_word(
 SHORT = point_of_word(DigitWord(6, random_word(6, 13, seed=6).digits + (1,)))
 
 
+# The N = 30 grid in one block, and in blocks of 1 and 3 whole states: the
+# recomputed cells then cross block boundaries, and every block after the
+# first steps on from the carried state block[0] = block[n].
 @pytest.mark.parametrize(
-    "x, K", [(POINTS["digit"], 40), (ZERO_RUN, 561), (SHORT, 14)], ids=["digit", "zero-run", "short"]
+    "x, K, states",
+    [pytest.param(x, K, states, id=name + (f"-{states}-state" if states else ""))
+     for states in (None, 1, 3)
+     for name, x, K in [("digit", POINTS["digit"], 40), ("zero-run", ZERO_RUN, 561), ("short", SHORT, 14)]],
 )
-def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool, x, K):
+def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool, x, K, states):
     """With no cell certified, each automaton recomputes every cell of its triangle exactly."""
+    if states:
+        L = K + 40  # 2W = 40 digits in base 6
+        monkeypatch.setattr(torus, "_BLOCK_CELLS", -(-states * L // 2))  # 2 _BLOCK_CELLS // L = states
+    heights = []
     window = torus._window_fracs
 
-    def certify_none(*args):
-        vals, ok = window(*args)
+    def certify_none(block, *args):
+        heights.append(len(block))
+        vals, ok = window(block, *args)
         return np.full_like(vals, np.nan), np.zeros_like(ok)
 
     monkeypatch.setattr(torus, "_window_fracs", certify_none)
@@ -121,6 +132,7 @@ def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool
     for t in (1, 2, 3):
         monkeypatch.setattr(torus, "_THREADS", t)
         assert np.array_equal(orbit_fracs(x, 2, 3, N), exact)
+    assert max(heights) == (states or N)
 
 
 # sha256 of the little-endian float64 bytes of the 2493^2 verify grid of the
