@@ -365,12 +365,13 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
     swaps a and b.  The automaton below the diagonal and the one above it
     run as two `_spread` tasks; both write the main diagonal, with the same
     values.  Each steps its states straight into the rows of a block of
-    max(1, 2 _BLOCK_CELLS // (K + 2W)) whole states, finds each state's
-    last nonzero digit with one reverse argmax per block, and finishes the
-    block before writing it: every cell `_window_fracs` does not certify is
-    recomputed exactly by `_tail_value` from its digits s .. last, on its
-    own thread, so the grid is the same at any thread count.  Then each
-    diagonal d is written, its S = min(K, N - j) cells cut at the N - d edge.
+    max(1, 2 _BLOCK_CELLS // (K + 2W)) whole states, and diagonal d keeps
+    its cells s < min(last + 1, N - d), last its state's last nonzero
+    digit: the rest are 0 or off the grid.  A block is certified by
+    `_window_fracs` to its widest extent, each kept cell it does not
+    certify is recomputed exactly by `_tail_value` from its digits
+    s .. last, on its own thread, so the grid is the same at any thread
+    count, and then each diagonal's kept cells are written.
     """
     ab = a * b
     W = 1
@@ -398,14 +399,15 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
                 nxt += q_next
             last = L - 1 - (block[:n, ::-1] != 0).argmax(axis=1)
             last[last == L - 1] = -1  # digit L - 1 is always 0: the state has no nonzero digit
-            S = min(K, N - j)
+            keep = np.minimum(last + 1, N - np.arange(j, j + n))  # diagonal d's nonzero cells in the grid
+            S = keep.max()
             digits = scratch[0, : n * (S + 2 * W)].reshape(n, -1)
             digits[:] = block[:n, : S + 2 * W]
-            vals, ok = _window_fracs(digits, last, S, ab, W, scratch[1:, : digits.size])
-            for i, s in zip(*np.nonzero(~ok)):
+            vals, ok = _window_fracs(digits, ab, W, scratch[1:, : digits.size])
+            for i, s in zip(*np.nonzero(~ok & (np.arange(S + 2 * W) < keep[:, None]))):
                 vals[i, s] = _tail_value(block[i, s : last[i] + 1], ab, powers)
             for i, d in enumerate(range(j, j + n)):  # cell s of diagonal d: (s + d, s) below, (s, s + d) above
-                (flat[d * N :: N + 1] if below else flat[d :: N + 1])[: min(S, N - d)] = vals[i, : N - d]
+                (flat[d * N :: N + 1] if below else flat[d :: N + 1])[: keep[i]] = vals[i, : keep[i]]
             block[0] = block[n]
 
     _spread(lambda i, _: automaton(*((a, b, True), (b, a, False))[i]), 2, 1)
@@ -413,7 +415,7 @@ def _digit_fracs(x: TorusPoint, a: int, b: int, N: int, K: int) -> np.ndarray:
 
 
 def _tail_value(tail: np.ndarray, ab: int, powers: np.ndarray) -> float:
-    """sum_t tail[t] (ab)^-(t+1) for a tail of base-ab digits, correctly rounded.
+    """sum_t tail[t] (ab)^-(t+1) for base-ab digits ending in a nonzero one, correctly rounded.
 
     powers holds the place values (ab)^(W-1), ..., 1 of a W-digit chunk,
     (ab)^W <= 2^53.  From its first nonzero digit f the tail is read to
@@ -424,8 +426,6 @@ def _tail_value(tail: np.ndarray, ab: int, powers: np.ndarray) -> float:
     v / (ab)^e is y itself.  Only near-ties read far, so a long tail costs
     about as much as a short one.
     """
-    if not len(tail):
-        return 0.0
     W, C = len(powers), ab ** len(powers)
     f, n = int((tail != 0).argmax()), 2 * W
     while True:
@@ -446,22 +446,20 @@ _SPLIT = 134217729.0
 _U = 2.0**-53
 
 
-def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int, scratch: np.ndarray):
-    """Correctly rounded values of the digit tails at shifts s < S, and which are certified.
+def _window_fracs(block: np.ndarray, ab: int, W: int, scratch: np.ndarray):
+    """Correctly rounded values of the digit tails at each shift of `block`, and which are certified.
 
-    Row i of `block` holds the first S + 2W or more digits of one state,
-    and last[i] is the index of that state's last nonzero digit (-1 for
-    none).  With C = (ab)^W <= 2^53, v1 and v2 the W-digit windows of
-    `_digit_windows` at s and s + W and t in [0, 1) the digits after them,
-    the cell is y = (v1 + (v2 + t)/C) / C.  For v1 >= 1 the candidate
-    f = f0 + rho/C takes rho = v1 + v2/C - f0 C from a Dekker two-product;
-    f is certified when every rounding and t leave y - f strictly inside
-    half the gap below f, so f is the double nearest y; t/C^2 is taken at
-    its bound (ab)^-2W in every cell.  A cell with only zero digits comes
-    out exactly 0.  Near-ties, and v1 = 0 over nonzero digits, stay
-    uncertified: the caller recomputes them exactly.  Each pass runs over
-    the whole row-major block, in place in the seven rows of `scratch`;
-    the cells past shift S are dropped.
+    Row i of `block` holds digits of one state; its cells are the shifts
+    s with 2W digits after s in the row.  With C = (ab)^W <= 2^53, v1 and
+    v2 the W-digit windows of `_digit_windows` at s and s + W and t in
+    [0, 1) the digits after them, the cell is y = (v1 + (v2 + t)/C) / C.
+    For v1 >= 1 the candidate f = f0 + rho/C takes rho = v1 + v2/C - f0 C
+    from a Dekker two-product; f is certified when every rounding and t
+    leave y - f strictly inside half the gap below f, so f is the double
+    nearest y; t/C^2 is taken at its bound (ab)^-2W in every cell.
+    Near-ties and v1 = 0 stay uncertified: the caller recomputes those it
+    keeps exactly.  Each pass runs over the whole row-major block, in
+    place in the seven rows of `scratch`.
     """
     v1 = _digit_windows(block, ab, W, scratch).reshape(-1)  # cell s of row i is v1[i * width + s]
     C = float(ab**W)
@@ -505,9 +503,7 @@ def _window_fracs(block: np.ndarray, last: np.ndarray, S: int, ab: int, W: int, 
     room = np.subtract(half, r2, out=half)
     room -= float(Fraction(1, ab ** (2 * W))) * (1 + 2.0**-50)  # at least t/C^2 < (ab)^-2W, in every cell
     ok &= room > bound
-    for row, end in zip(ok.reshape(block.shape), last.tolist()):  # from shift end + 1 on, every digit is 0 and so is f
-        row[end + 1 :] = True
-    return f.reshape(block.shape)[:, :S], ok.reshape(block.shape)[:, :S]
+    return f.reshape(block.shape), ok.reshape(block.shape)
 
 
 def _below(f: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -440,8 +440,9 @@ def test_digit_path_matches_residues(word, N):
 )
 @pytest.mark.parametrize("states", [0, 1, 2, 3])  # _BLOCK_CELLS = 1, and blocks of 1-3 whole states
 def test_digit_blocks_of_whole_states_match_residues(monkeypatch, fresh_pool, x, N, states):
-    """At 1-3 threads, on blocks with and without diagonals cut by the N - d edge: a diagonal d
-    of the block at state j has S = min(K, N - j) cells, and N - d of them when the edge cuts it."""
+    """At 1-3 threads, on blocks with and without diagonals cut by the N - d edge: diagonal d
+    keeps its cells up to its state's last nonzero digit and the N - d edge, and a block is
+    certified 2W digits past its widest extent; a block of states past the last digit has none."""
     K = _digit_length(x, 3, 2)
     assert K
     L = K + 40  # 2W = 40 digits in base 6
@@ -449,17 +450,20 @@ def test_digit_blocks_of_whole_states_match_residues(monkeypatch, fresh_pool, x,
     R = max(1, states)
     cut = [min(K, N - j) > N - (j + min(R, N - j) - 1) for j in range(0, N, R)]
     assert any(cut) == (R > 1) and (not all(cut) or K > N)  # one state never meets the edge
-    heights = []
+    heights, widths = [], []
     certify = torus._window_fracs
 
     def spy(block, *args):
         heights.append(len(block))
+        widths.append(block.shape[1])
         return certify(block, *args)
 
     monkeypatch.setattr(torus, "_window_fracs", spy)
     monkeypatch.setattr(torus, "_THREADS", 1)
     fracs = check_against_residues(x, 3, 2, N)
     assert max(heights) == R
+    if x == TorusPoint(1, 2**40):  # x2 sends it to 0 from state 40 on: a block of extent 0
+        assert 40 in widths
     for threads in (2, 3):
         if torus._pool is not None:
             torus._pool.shutdown()
@@ -574,16 +578,15 @@ def test_kernel_rejects_bad_multipliers_and_sides(x, a, b, N):
 
 
 def count_uncertified(monkeypatch):
-    """Wrap the window certifier; the returned list collects its uncertified cell counts."""
+    """Wrap the exact fallback; the returned list gets a 1 for each uncertified cell it recomputes."""
     seen = []
-    certify = torus._window_fracs
+    fallback = torus._tail_value
 
     def counted(*args):
-        vals, ok = certify(*args)
-        seen.append(int((~ok).sum()))
-        return vals, ok
+        seen.append(1)
+        return fallback(*args)
 
-    monkeypatch.setattr(torus, "_window_fracs", counted)
+    monkeypatch.setattr(torus, "_tail_value", counted)
     return seen
 
 
@@ -653,7 +656,7 @@ def test_digit_path_tail_digit_decides(monkeypatch):
 
 
 def test_digit_path_certifies_all_zero_windows(monkeypatch):
-    # a^j x = 2^(j-40) needs only 40 - j digits; the zero windows past them are exact
+    # a^j x = 2^(j-40) needs only 40 - j digits; the zero cells past them cost no fallback
     seen = count_uncertified(monkeypatch)
     check_against_residues(TorusPoint(1, 2**40), 2, 3, 50)
     assert sum(seen) == 0

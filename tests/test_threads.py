@@ -112,7 +112,8 @@ SHORT = point_of_word(DigitWord(6, random_word(6, 13, seed=6).digits + (1,)))
      for name, x, K in [("digit", POINTS["digit"], 40), ("zero-run", ZERO_RUN, 561), ("short", SHORT, 14)]],
 )
 def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool, x, K, states):
-    """With no cell certified, each automaton recomputes every cell of its triangle exactly."""
+    """With no cell certified, each automaton recomputes every nonzero cell of its triangle exactly
+    once, and no zero cell or cell off the grid; the main diagonal, which both write, twice."""
     if states:
         L = K + 40  # 2W = 40 digits in base 6
         monkeypatch.setattr(torus, "_BLOCK_CELLS", -(-states * L // 2))  # 2 _BLOCK_CELLS // L = states
@@ -125,13 +126,23 @@ def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool
         return np.full_like(vals, np.nan), np.zeros_like(ok)
 
     monkeypatch.setattr(torus, "_window_fracs", certify_none)
+    calls = []
+    fallback = torus._tail_value
+
+    def counted(*args):
+        calls.append(1)
+        return fallback(*args)
+
+    monkeypatch.setattr(torus, "_tail_value", counted)
     N = 30
     assert torus._digit_length(x, 2, 3) == K
     exact = np.array([[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den / x.den for n in range(N)]
                       for m in range(N)])
     for t in (1, 2, 3):
         monkeypatch.setattr(torus, "_THREADS", t)
+        calls.clear()
         assert np.array_equal(orbit_fracs(x, 2, 3, N), exact)
+        assert len(calls) == np.count_nonzero(exact) + np.count_nonzero(np.diag(exact))
     assert max(heights) == (states or N)
 
 
