@@ -221,8 +221,8 @@ def invariance_defect(
     if map_choice not in ("a", "b"):
         raise ValueError("map_choice must be 'a' or 'b'")
     c, o = (a, b) if map_choice == "a" else (b, a)
-    first = _residue_rows(x, c, o, N)(0, 1)[0]  # row 0 of the grid: the o-orbit of x
-    rows = np.stack([first * pow(c, N, x.den) % x.den, first]) / x.den
+    grid = _residue_rows(x, c, o, N, 1)  # the (N + 1)-wide grid: row 0 is the o-orbit of x, row N that of c^N x
+    rows = np.concatenate([grid(N, N + 1), grid(0, 1)])[:, :N] / x.den
     last, plain = _phases(rows.astype(float), _frequency(k, x.den)).sum(axis=1)
     return abs(last - plain) / N**2
 

@@ -109,8 +109,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _spread(task: Callable[[int, int], object], N: int, R: int) -> list:
-    """[task(s, e) for the blocks [s, e) = [s, min(s + R, N)) of range(N)], in row order.
+def _spread(task: Callable[[int, int], object], N: int, R: int) -> None:
+    """Run task(s, e) for each block [s, e) = [s, min(s + R, N)) of range(N), and wait for all.
 
     At most _THREADS threads run the blocks, each a contiguous run of them,
     the calling thread the first.  A task must call no public function:
@@ -122,8 +122,9 @@ def _spread(task: Callable[[int, int], object], N: int, R: int) -> list:
     n = min(_THREADS, blocks)
     cuts = [R * (blocks * i // n) for i in range(n)] + [N]
 
-    def run(s: int, e: int) -> list:
-        return [task(t, min(t + R, e)) for t in range(s, e, R)]
+    def run(s: int, e: int) -> None:
+        for t in range(s, e, R):
+            task(t, min(t + R, e))
 
     if n == 1:
         return run(0, N)
@@ -134,10 +135,10 @@ def _spread(task: Callable[[int, int], object], N: int, R: int) -> list:
         _pool = ThreadPoolExecutor(_THREADS - 1)
     futures = [_pool.submit(run, s, e) for s, e in zip(cuts[1:-1], cuts[2:])]
     try:
-        first = run(cuts[0], cuts[1])
+        run(cuts[0], cuts[1])
     finally:
-        rest = [f.result() for f in futures]
-    return [r for part in (first, *rest) for r in part]
+        for f in futures:
+            f.result()
 
 
 def _check_grid(a: int, b: int, N: int) -> None:
@@ -271,29 +272,26 @@ def _corner_totals(
 
     planes(s, e) yields the planes 0, 1, ... of grid rows s .. e-1, in the
     `_spread` row blocks of a max(horizons)-wide grid; each is read before
-    the next is asked for.  Only the rows before the `_row_period` of x
-    under a, found over the N + max(alpha) rows read, are asked for: row
-    m's sum over its first h columns, rows[p, i, m] with one i per distinct
-    horizon, is that of row m mod the period.  A total is the sum of h row
-    sums from row alpha, so it is the same at any block size, thread count
-    or set of other horizons.
+    the next is asked for.  Each plane is summed to row h + max(alpha) for
+    horizon h, and only rows before the `_row_period` of x under a, found
+    over N + max(alpha) rows, are asked for: row m's sum over its first h
+    columns, rows[p, i, m] with one i per distinct horizon, is that of row
+    m mod the period.  A total is the sum of h row sums from row alpha, so
+    it is the same at any block size, thread count or set of other horizons.
     """
     N, distinct = max(horizons), sorted(set(horizons))
-    depth = dict(sorted(outputs))  # plane p's largest alpha: it is read to row h + depth[p]
-    reach = N + max(depth.values())
-    period = _row_period(x, a, reach)
-    rows = np.zeros((len(depth), len(distinct), period), dtype=dtype)
+    lift = max(alpha for _, alpha in outputs)
+    period = _row_period(x, a, N + lift)
+    rows = np.zeros((len({p for p, _ in outputs}), len(distinct), period), dtype=dtype)
 
     def task(s: int, e: int) -> None:
         for p, plane in enumerate(planes(s, e)):
             for i, h in enumerate(distinct):
-                if s < h + depth[p]:
-                    rows[p, i, s : min(e, h + depth[p])] = plane[: h + depth[p] - s, :h].sum(axis=1)
+                if s < h + lift:
+                    rows[p, i, s : min(e, h + lift)] = plane[: h + lift - s, :h].sum(axis=1)
 
     _spread(task, period, _block_rows(N))
-    rows = rows[..., np.arange(reach) % period]
-    column = {h: i for i, h in enumerate(distinct)}
-    return np.array([[rows[p, column[h], alpha : alpha + h].sum() for h in horizons] for p, alpha in outputs])
+    return np.array([[rows[p, distinct.index(h), np.arange(alpha, alpha + h) % period].sum() for h in horizons] for p, alpha in outputs])
 
 
 def _frac_rows(x: TorusPoint, a: int, b: int, N: int, margin: int = 0, whole: bool = False) -> Callable[[int, int], np.ndarray]:

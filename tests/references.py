@@ -1,10 +1,16 @@
-"""Slow references for the test family and the bump: np.cos / np.sin, Fraction and mpmath evaluations."""
+"""Slow references for the orbit grid, the test family and the bump: pow, np.cos / np.sin, Fraction and mpmath evaluations."""
 from fractions import Fraction
 
 import numpy as np
 
 # 2 pi in x87 extended precision (64-bit significand) where np.longdouble has it.
 TAU_LD = 2 * np.longdouble("3.14159265358979323846264338327950288")
+
+
+def exact_residues(x, a, b, N):
+    """The N x N grid of exact residues pow(a, m, den) * pow(b, n, den) * num % den of x = num/den."""
+    apow, bpow = ([pow(c, i, x.den) for i in range(N)] for c in (a, b))
+    return [[am * bn * x.num % x.den for bn in bpow] for am in apow]
 
 
 def member_values(f, x):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from abtorus import TorusPoint, irregular, torus, typecount
 from abtorus.cli import build_parser, mult_indep_check, run
+from references import exact_residues
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
 GOLDEN_EXAMPLES = json.loads((Path(__file__).parent / "golden" / "readme_examples.json").read_text())
@@ -221,6 +222,20 @@ def test_schedule_error_exit_two_with_best_estimate(capsys, monkeypatch, cmd):
         "estimate": {"value": 0.25, "half_width": 0.07, "samples": 150},
         "seed": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["box-dim", "--struct", "n=2,2;c=1/3,1/3", "--depth", "3", "--scales", "1/3,1/9,1/27"],
+         "explicit structure has only 2 terms"),
+        (["moran-dim", "--struct", "n=2,2;c=1/3"], "explicit spec needs equal-length n and c lists"),
+        (["box-dim", "--struct", "n=2;c=1/3 periodic", "--depth", "2", "--scales", "1/3,1/9,3/2"],
+         "scales must lie in (0, 1)"),
+    ],
+)
+def test_malformed_moran_input_exits_one(capsys, argv, message):
+    assert capture(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def test_moran_dim_one_term_explicit_structure(capsys):
@@ -724,8 +739,8 @@ def test_empirical_golden_fourier_is_within_1e_15_of_exact_phases():
     fourier = json.loads(GOLDEN_EXAMPLES[line]["stdout"])["fourier"]
     den, N = 1000003, 100
     with mpmath.workdps(40):
-        cells = [mpmath.expjpi(mpmath.mpf(2 * (pow(2, m, den) * pow(3, n, den) * 3 % den)) / den)
-                 for m in range(N) for n in range(N)]
+        residues = exact_residues(TorusPoint(3, den), 2, 3, N)
+        cells = [mpmath.expjpi(mpmath.mpf(2 * r) / den) for row in residues for r in row]
         powers = list(cells)
         for k in range(1, 9):
             exact = mpmath.fsum(powers) / N**2

@@ -141,6 +141,27 @@ def test_membership_and_verify_read_one_orbit_grid(monkeypatch):
     assert sides == [60, 12]
 
 
+def test_test_family_and_least_chain_refuse_out_of_range_arguments():
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        build_test_family(0)
+    with pytest.raises(ValueError, match="^depth must be >= 1$"):
+        irregular._least_chain(2, 3, Fraction(1, 2), 0)
+    for r in (Fraction(0), Fraction(1)):
+        with pytest.raises(ValueError, match=r"^r must be in \(0, 1\)$"):
+            irregular._least_chain(2, 3, r, 1)
+
+
+def test_synthesis_gives_up_after_its_donor_budget(monkeypatch):
+    """With every donor refused, level 1 draws exactly _MAX_TRIES of them and then stops."""
+    drawn = []
+    monkeypatch.setattr(irregular, "_MAX_TRIES", 3)
+    monkeypatch.setattr(irregular, "membership_X", lambda *args: drawn.append(args) and False)
+    schedule = Schedule(a=2, b=3, r=Fraction(1, 2), l=(2,), N=(5,), L=(60,))
+    with pytest.raises(RuntimeError, match="^sampling budget exhausted at level 1$"):
+        synthesize_point(schedule, seed=0)
+    assert len(drawn) == 3
+
+
 def test_membership_rejects_bad_horizon():
     with pytest.raises(ValueError):
         membership_X(TorusPoint(1, 3), 1, 0, 2, 3)

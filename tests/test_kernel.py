@@ -14,6 +14,7 @@ from abtorus import (
 )
 from abtorus.measures import _character_sums, _interval_test
 from abtorus.torus import _bin_counts, _digit_length
+from references import exact_residues
 
 # Both sides of the int64/bigint switch (6**30 also passes 2**63), the trivial
 # circle, and small denominators so that d > den and exact interval-end hits
@@ -39,10 +40,6 @@ def residue_grid(x, a, b, N):
 def membership_grid(x, a, b, N, lo, hi):
     """The interval test of `semiequidist_profile` on the stacked row blocks of `orbit_residues`."""
     return _interval_test(x.den, lo, hi)(residue_grid(x, a, b, N))
-
-
-def exact_residues(x, a, b, N):
-    return [[pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den for n in range(N)] for m in range(N)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,8 +243,7 @@ def test_row_period_examples():
 
 def pow_fracs(x, a, b, N):
     """The N x N grid of pow residues over den, each int / int correctly rounded."""
-    apow, bpow = ([pow(c, i, x.den) for i in range(N)] for c in (a, b))
-    return np.array([[am * bn * x.num % x.den / x.den for bn in bpow] for am in apow])
+    return np.array([[r / x.den for r in row] for row in exact_residues(x, a, b, N)])
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,6 +22,7 @@ from abtorus import (
 )
 from abtorus import measures, torus
 from abtorus.torus import _running_products
+from references import exact_residues
 from words import random_word
 
 
@@ -112,7 +113,7 @@ def test_invariance_defect_matches_full_grid(x, map_choice, N, k):
 @pytest.mark.parametrize("c, o", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("N", [1, 33, 1000])
 def test_invariance_row_is_row_zero_of_the_first_block(x, c, o, N):
-    # the row invariance_defect reads without building a block, on the int64 and big-integer paths
+    # orbit_residues' first row is the running products of o, on the int64 and big-integer paths
     row = _running_products(x.num, o, x.den, N)
     block_row = next(orbit_residues(x, c, o, N))[0]
     assert block_row.dtype == (np.int64 if x.den < 2**31 else object)
@@ -244,6 +245,29 @@ def test_weights_that_miss_one_are_refused():
         EmpiricalMeasure(d=2, weights=(0.5, 0.4), fourier={0: 1}, N=1)
 
 
+def test_fourier_data_off_the_unit_disc_is_refused():
+    with pytest.raises(ValueError, match=r"^fourier\[0\] must be exactly 1$"):
+        EmpiricalMeasure(d=1, weights=(1.0,), fourier={0: 0.5}, N=1)
+    with pytest.raises(ValueError, match=r"^\|fourier\[1\]\| > 1$"):
+        EmpiricalMeasure(d=1, weights=(1.0,), fourier={0: 1, 1: 1.5j, -1: -1.5j}, N=1)
+
+
+def test_invariance_defect_refuses_k_zero_and_unknown_maps():
+    x = TorusPoint(3, 7)
+    with pytest.raises(ValueError, match="^k must be nonzero$"):
+        invariance_defect(x, 2, 3, 10, 0, "a")
+    with pytest.raises(ValueError, match="^map_choice must be 'a' or 'b'$"):
+        invariance_defect(x, 2, 3, 10, 1, "c")
+
+
+def test_semiequidist_profile_refuses_descending_horizons_and_empty_intervals():
+    x = TorusPoint(3, 7)
+    with pytest.raises(ValueError, match="^horizons must be ascending$"):
+        semiequidist_profile(x, 2, 3, (Fraction(1, 4), Fraction(1, 2)), [20, 10], 0.5)
+    with pytest.raises(ValueError, match="^empty interval$"):
+        semiequidist_profile(x, 2, 3, (Fraction(1, 2), Fraction(1, 2)), [10, 20], 0.5)
+
+
 def inside_reference(y: Fraction, lo: Fraction, hi: Fraction) -> bool:
     """y + k in the open interval (lo, hi) for some integer k, or the interval covers the circle."""
     return hi - lo >= 1 or any(lo < y + k < hi for k in range(math.floor(lo) - 1, math.ceil(hi) + 2))
@@ -269,8 +293,7 @@ def test_semiequidist_counts_match_fraction_reference(k, den, N, R, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torus, "_BLOCK_CELLS", R * N)
         ratios = semiequidist_profile(x, 2, 3, (lo, hi), horizons, 0.5).ratios
-    inside = [[inside_reference(Fraction(pow(2, m, den) * pow(3, n, den) * x.num % den, den), lo, hi)
-               for n in range(N)] for m in range(N)]
+    inside = [[inside_reference(Fraction(r, x.den), lo, hi) for r in row] for row in exact_residues(x, 2, 3, N)]
     assert ratios == [sum(sum(row[:h]) for row in inside[:h]) / h**2 for h in horizons]
 
 
@@ -304,14 +327,14 @@ def exact_phase_sum(residues, den, k):
 def test_character_sums_match_exact_phases(num, den, N, horizons, k):
     """int64, big-integer and digit-automaton points: every Fourier output within 1e-13."""
     x, K = TorusPoint(num, den), 6
-    grid = [[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den for n in range(N)] for m in range(N)]
+    grid = exact_residues(x, 2, 3, N)
     cells = [r for row in grid for r in row]
     assert abs(fourier_average(x, 2, 3, N, k) - exact_phase_sum(cells, x.den, k) / N**2) < 1e-13
     mu = empirical_measure(x, 2, 3, N, 4, K)
     for j in range(1, K + 1):
         assert abs(mu.fourier[j] - exact_phase_sum(cells, x.den, j) / N**2) < 1e-13
     top = max(horizons)
-    grid = [[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den for n in range(top)] for m in range(top)]
+    grid = exact_residues(x, 2, 3, top)
     for h, got in zip(horizons, convergence_diagnostic(x, 2, 3, horizons, K)):
         corner = [r for row in grid[:h] for r in row[:h]]
         want = sum(2.0 ** (1 - j) * abs(exact_phase_sum(corner, x.den, j)) / h**2 for j in range(1, K + 1))
@@ -347,7 +370,7 @@ def test_shifted_character_sums_match_exact_phases(pair, path, num, K, horizons,
             if torus._pool is not None:
                 torus._pool.shutdown()
     for i, h in enumerate(horizons):
-        corner = [pow(a, m, x.den) * pow(b, n, x.den) * x.num % x.den for m in range(h) for n in range(h)]
+        corner = [r for row in exact_residues(x, a, b, h) for r in row]
         for j in range(1, K + 1):
             assert abs(got[j - 1, i] - exact_phase_sum(corner, x.den, j)) < 1e-13 * h * h, (j, h)
 
@@ -371,7 +394,7 @@ def test_fourier_average_reduces_k_mod_den_before_the_phase():
     """k = 123456789012345678901 is -250369 mod 1000003; each cell is then within
     (6.5 + 2 pi |k'|) 2^-53 of e(k' f), and f within 2^-53 of r / den."""
     x, N, k = TorusPoint(3, 1000003), 50, 123456789012345678901
-    cells = [pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den for m in range(N) for n in range(N)]
+    cells = [r for row in exact_residues(x, 2, 3, N) for r in row]
     got = fourier_average(x, 2, 3, N, k)
     assert got == fourier_average(x, 2, 3, N, -250369)
     assert abs(got - exact_phase_sum(cells, x.den, k) / N**2) < (6.5 + 4 * math.pi * 250369) * 2.0**-53 + 1e-15

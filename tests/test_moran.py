@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abtorus import MoranStructure, box_counting_estimate, moran_dims, realize_intervals
-from abtorus.moran import Realization
+from abtorus.moran import DimensionPair, Realization
 
 
 def periodic(n_list, c_list):
@@ -95,6 +95,19 @@ def test_invalid_structures_rejected():
         moran_dims(MoranStructure(counts=(2,), ratios=(Fraction(1, 3),)), 64)
 
 
+def test_structures_and_dimension_pairs_refuse_malformed_terms():
+    with pytest.raises(ValueError, match="^counts and ratios must have equal length$"):
+        MoranStructure(counts=(2, 2), ratios=(Fraction(1, 3),))
+    with pytest.raises(ValueError, match="^empty structure$"):
+        MoranStructure(counts=(), ratios=())
+    with pytest.raises(ValueError, match="^child counts must be positive$"):
+        MoranStructure(counts=(0,), ratios=(Fraction(1, 3),))
+    with pytest.raises(ValueError, match=r"^invalid dimension pair \(0\.5, 0\.6\)$"):
+        DimensionPair(0.5, 0.6, False)
+    with pytest.raises(ValueError, match=r"^invalid dimension pair \(1\.5, 1\.0\)$"):
+        DimensionPair(1.5, 1.0, False)
+
+
 @settings(max_examples=50)
 @given(
     st.lists(
@@ -161,6 +174,11 @@ def test_realize_budget():
         realize_intervals(struct, 2)
 
 
+def test_realize_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        realize_intervals(periodic([2], ["1/3"]), -1)
+
+
 def test_realize_depth_limit():
     struct = periodic([1], ["1/2"])
     assert len(realize_intervals(struct, 10**4)) == 1
@@ -205,6 +223,14 @@ def test_box_counting_input_validation():
         box_counting_estimate(intervals, [Fraction(1, 4), Fraction(1, 8)])
     with pytest.raises(ValueError):
         box_counting_estimate(intervals, [Fraction(1, 4)] * 3)
+
+
+def test_box_counting_refuses_scales_with_one_float_logarithm():
+    """Distinct scales 1/(10^20 + i) all have -log eps = 20 log 10 in doubles: the slope has no spread to fit."""
+    intervals = Realization(np.array([0], dtype=object), 1, 2)  # [0, 1/2)
+    scales = [Fraction(1, 10**20 + i) for i in range(3)]
+    with pytest.raises(ValueError, match="^degenerate regression: scales with equal float logarithms$"):
+        box_counting_estimate(intervals, scales)
 
 
 @st.composite

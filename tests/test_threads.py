@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from abtorus import DigitWord, TorusPoint, build_test_family, irregular, measures, orbit_fracs, point_of_word, torus
 from abtorus.irregular import IrregularRecipe, Schedule, bump_function
 from abtorus.torus import _bin_counts
-from references import bump_mean, ld_member_mean, mp_member_mean
+from references import bump_mean, exact_residues, ld_member_mean, mp_member_mean
 from words import random_word
 
 BLOCK_ROWS = 2
@@ -42,17 +42,18 @@ APERIODIC = TorusPoint(123456789, 1_000_000_007)
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 60), st.integers(1, 12))
 def test_spans_cover_the_rows_once_at_block_starts(threads, N, R):
-    """_spread hands each R-row block to the task once, in row order, on at most min(_THREADS, blocks) threads."""
+    """_spread hands each R-row block to the task once, on at most min(_THREADS, blocks) threads."""
+    got = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torus, "_THREADS", threads)
         mp.setattr(torus, "_pool", None)
         try:
-            got = torus._spread(lambda s, e: (s, e, threading.get_ident()), N, R)
+            torus._spread(lambda s, e: got.append((s, e, threading.get_ident())), N, R)
         finally:
             if torus._pool is not None:
                 torus._pool.shutdown()
     assert all(s % R == 0 and s < e <= s + R for s, e, _ in got)
-    assert [r for s, e, _ in got for r in range(s, e)] == list(range(N))
+    assert [r for s, e, _ in sorted(got) for r in range(s, e)] == list(range(N))
     assert len({ident for _, _, ident in got}) <= min(threads, -(-N // R))
 
 
@@ -136,8 +137,7 @@ def test_digit_fallbacks_of_both_automata_are_recomputed(monkeypatch, fresh_pool
     monkeypatch.setattr(torus, "_tail_value", counted)
     N = 30
     assert torus._digit_length(x, 2, 3) == K
-    exact = np.array([[pow(2, m, x.den) * pow(3, n, x.den) * x.num % x.den / x.den for n in range(N)]
-                      for m in range(N)])
+    exact = np.array([[r / x.den for r in row] for row in exact_residues(x, 2, 3, N)])
     for t in (1, 2, 3):
         monkeypatch.setattr(torus, "_THREADS", t)
         calls.clear()

@@ -33,6 +33,17 @@ def test_zero_denominator_rejected():
         TorusPoint(1, 0)
 
 
+def test_digit_words_refuse_bad_bases_digits_and_lengths():
+    with pytest.raises(ValueError, match="^base must be >= 2$"):
+        DigitWord(1, ())
+    with pytest.raises(ValueError, match="^digit 6 out of range for base 6$"):
+        DigitWord(6, (0, 6))
+    with pytest.raises(ValueError, match="^base must be >= 2$"):
+        digits_of(TorusPoint(1, 3), 1, 4)
+    with pytest.raises(ValueError, match="^L must be >= 1$"):
+        digits_of(TorusPoint(1, 3), 10, 0)
+
+
 def test_orbit_grid_examples():
     grid = orbit_grid(TorusPoint(1, 5), 2, 3, 2)
     assert grid == [

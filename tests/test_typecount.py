@@ -90,6 +90,13 @@ def test_dist_examples():
         dist((), 2)
 
 
+def test_dist_refuses_a_symbol_outside_the_alphabet():
+    with pytest.raises(ValueError, match=r"^symbol 3 outside 1\.\.2$"):
+        dist((1, 3), 2)
+    with pytest.raises(ValueError, match=r"^symbol 0 outside 1\.\.2$"):
+        dist((0,), 2)
+
+
 def test_dist_concatenation_identity():
     rng = random.Random(1)
     for _ in range(50):
