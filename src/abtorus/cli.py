@@ -117,13 +117,12 @@ def _orbit(args):
         head, sep, tail, cell, line = head + "[", ", ", "]" + tail + "\n", '", "', '["{}"]'
     # x is reduced, so when gcd(ab, den) = 1 every residue r is a unit and r/den is in lowest terms
     units = gcd(args.a * args.b, x.den) == 1
+    row = line.format(cell.join([f"%d/{x.den}" if units else "%d/%d"] * args.N))
     for blk in blocks:
-        if units:  # one join per row
-            rows = (f"/{x.den}{cell}".join(map(str, row)) + f"/{x.den}" for row in blk.tolist())
-        else:  # each cell r/den in lowest terms, as TorusPoint would print it
+        if not units:  # each cell r/den in lowest terms, as TorusPoint would print it: n0, d0, n1, d1, ...
             g = np.gcd(blk, x.den)
-            rows = (cell.join(f"{n}/{d}" for n, d in zip(*row)) for row in zip((blk // g).tolist(), (x.den // g).tolist()))
-        sys.stdout.write(head + sep.join(map(line.format, rows)))
+            blk = np.stack([blk // g, x.den // g], axis=2).reshape(len(blk), -1)
+        sys.stdout.write(head + sep.join([row % tuple(r) for r in blk.tolist()]))
         head = sep
     sys.stdout.write(tail)
 

@@ -154,34 +154,44 @@ def _check_grid(a: int, b: int, N: int) -> None:
 def _residue_rows(x: TorusPoint, a: int, b: int, N: int, margin: int = 0) -> Callable[[int, int], np.ndarray]:
     """rows(s, e): rows s .. e-1 of the residue grid of `orbit_residues` at side N + margin, after `_check_grid` of N.
 
-    For den < 2^31 the columns num a^m and b^n mod den come from
-    `_power_column`, and an int64 block is their outer product, reduced
-    exactly as p - p // den * den: the products stay below 2^62.  Otherwise
-    the column num a^m mod den is a `_running_products` list of Python ints,
-    and each object row a running product of b, faster than a Python-int
-    outer product.
+    The column num a^m mod den is an `_orbit_column`.  When it is int64
+    (den < 2^31), a block is its outer product with the `_power_column`
+    b^n mod den, reduced exactly as p - p // den * den: the products stay
+    below 2^62.  Otherwise each object row is a running product of b,
+    faster than a Python-int outer product.
     """
     _check_grid(a, b, N)
     den, N = x.den, N + margin
+    acol = _orbit_column(x.num, a, den, N)
+    if acol.dtype == object:
+        return lambda s, e: np.array([_running_products(z, b, den, N) for z in acol[s:e]], dtype=object)
+    bcol = _power_column(1, b, den, N)
+
+    def rows(s: int, e: int) -> np.ndarray:
+        blk = acol[s:e, None] * bcol
+        blk -= blk // den * den  # a floor-divide by a scalar is faster than %
+        return blk
+
+    return rows
+
+
+def _orbit_column(z: int, c: int, den: int, N: int) -> np.ndarray:
+    """z * c^n mod den for n < N: int64 by `_power_column` when den < 2^31, else an object array of Python ints.
+
+    The one place the 2^31 decision is made, for the residue rows of
+    `_residue_rows` and the itinerary of `typecount.itinerary_choices`.
+    """
     if den < 2**31:
-        acol, bcol = _power_column(x.num, a, den, N), _power_column(1, b, den, N)
-
-        def rows(s: int, e: int) -> np.ndarray:
-            blk = acol[s:e, None] * bcol
-            blk -= blk // den * den  # a floor-divide by a scalar is faster than %
-            return blk
-
-        return rows
-    acol = _running_products(x.num, a, den, N)
-    return lambda s, e: np.array([_running_products(z, b, den, N) for z in acol[s:e]], dtype=object)
+        return _power_column(z, c, den, N)
+    return np.array(_running_products(z % den, c, den, N), dtype=object)
 
 
 def _power_column(z: int, c: int, den: int, N: int) -> np.ndarray:
     """int64 z * c^n mod den for n < N, den < 2^31, by power doubling.
 
     col[L:2L] = col[:L] * (c^L mod den) mod den, so log2 N numpy steps
-    replace N Python products; c is reduced mod den first, and every
-    product of two residues stays below 2^62.
+    replace N Python products; c is reduced mod den first, and every product
+    of two residues stays below 2^62.  Read by `_orbit_column` and `_residue_rows`.
     """
     col = np.empty(N, dtype=np.int64)
     col[0] = z % den
@@ -197,8 +207,8 @@ def _power_column(z: int, c: int, den: int, N: int) -> np.ndarray:
 def _running_products(z: int, c: int, den: int, N: int) -> list[int]:
     """z * c^n mod den for n < N (z itself unreduced at n = 0), as Python ints.
 
-    The big-denominator rows of `_residue_rows` and `typecount` read these;
-    den < 2^31 columns come from `_power_column`.
+    The big-denominator columns of `_orbit_column` and the object rows of
+    `_residue_rows` read these; den < 2^31 columns come from `_power_column`.
     """
     out = []
     for _ in range(N):

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .torus import TorusPoint, _running_products
+import numpy as np
+
+from .torus import TorusPoint, _orbit_column
 
 ENTROPY_TOL = 1e-12  # documented tie tolerance for threshold comparisons
 MAX_PARTS = 500  # cap on min(k, N): count_R's walk recurses once per part; Python allows 1000 frames
@@ -28,16 +30,15 @@ def entropy(p) -> float:
 
 
 def dist(word: Sequence[int], k: int) -> tuple[Fraction, ...]:
-    """Empirical distribution of a word over symbols {1, ..., k}, exact rationals."""
+    """Empirical distribution of a word over symbols {1, ..., k}, exact rationals, counted by one `np.bincount`."""
     if len(word) == 0:
         raise ValueError("empty word")
-    counts = [0] * k
-    for s in word:
-        if not 1 <= s <= k:
-            raise ValueError(f"symbol {s} outside 1..{k}")
-        counts[s - 1] += 1
+    w = np.asarray(word)  # an object array when a symbol is beyond int64
+    bad = np.flatnonzero((w < 1) | (w > k))
+    if bad.size:
+        raise ValueError(f"symbol {word[bad[0]]} outside 1..{k}")
     N = len(word)
-    return tuple(Fraction(c, N) for c in counts)
+    return tuple(Fraction(c, N) for c in np.bincount(w - 1, minlength=k).tolist())
 
 
 def count_R(k: int, N: int, t: float) -> int:
@@ -139,16 +140,16 @@ def itinerary_choices(x: TorusPoint, a: int, d: int, M: int, N: int) -> ChoiceRe
         raise ValueError(f"(M + 1) * d^M exceeds the limit {MAX_CHOICES} at -d {d} -M {M}")
     if N > MAX_POINTS:
         raise ValueError(f"N = {N} exceeds the itinerary limit {MAX_POINTS}")
-    cyl = [r * d // x.den for r in _running_products(x.num, a, x.den, N + M - 1)]  # floor(d a^n x)
-    k_M = d**M
-    top, cell, labels = k_M // d, 0, []
-    for c in cyl:  # the last M digits: drop the oldest, append the next
-        cell = cell % top * d + c
-        labels.append(cell + 1)
-    indices = labels[M - 1 :]  # the first M - 1 labels have fewer than M digits
-    q = dist(indices, k_M)
-    decimated = tuple(dist(indices[l::M], k_M) for l in range(M))
-    return ChoiceRecord(indices=tuple(indices), q=q, decimated=decimated)
+    col = _orbit_column(x.num, a, x.den, N + M - 1)  # a^n num mod den
+    cyl = (col * d // x.den).astype(np.int64)  # floor(d a^n x)
+    # The label of point n is 1 + its M digits cyl[n .. n+M-1] in base d, exact as d^M <= 2^20;
+    # at d = 1 every digit is 0, so one window digit gives the same labels.
+    w = M if d > 1 else 1
+    places = d ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    indices = np.lib.stride_tricks.sliding_window_view(cyl[M - w :], w) @ places + 1
+    q = dist(indices, d**M)
+    decimated = tuple(dist(indices[l::M], d**M) for l in range(M))
+    return ChoiceRecord(indices=tuple(indices.tolist()), q=q, decimated=decimated)
 
 
 def kt_bound(a: int, b: int, t: float) -> float:

@@ -95,6 +95,10 @@ def test_dist_refuses_a_symbol_outside_the_alphabet():
         dist((1, 3), 2)
     with pytest.raises(ValueError, match=r"^symbol 0 outside 1\.\.2$"):
         dist((0,), 2)
+    with pytest.raises(ValueError, match=r"^symbol 5 outside 1\.\.3$"):  # the first bad symbol, not the extreme 0
+        dist((2, 5, 0), 3)
+    with pytest.raises(ValueError, match=rf"^symbol {2**70} outside 1\.\.2$"):  # beyond int64
+        dist((1, 2**70), 2)
 
 
 def test_dist_concatenation_identity():
@@ -246,7 +250,7 @@ def test_itinerary_decimation_identity():
     st.integers(1, 5), st.integers(1, 10), st.integers(0, 30),
 )
 def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
-    """Cells read off the residues a^n num mod den, each from the one before, equal M-digit labels of the exact T_a chain."""
+    """Labels read off the residues a^n num mod den equal M-digit labels of the exact T_a chain, and q and q_{M,l} their counts."""
     assume((M + 1) * d**M <= 1 << 12)  # the record holds that many Fractions
     x, N = TorusPoint(num, den), M + extra  # N >= M, so no decimated subword is empty
     pts = [x]
@@ -254,7 +258,14 @@ def test_itinerary_matches_iterated_maps(num, den, a, d, M, extra):
         pts.append(TorusPoint(a * pts[-1].num, pts[-1].den))
     cyl = [p.num * d // p.den for p in pts]  # the depth-d cylinder index floor(d p)
     want = [1 + sum(cyl[n + i] * d ** (M - 1 - i) for i in range(M)) for n in range(N)]
-    assert list(itinerary_choices(x, a, d, M, N).indices) == want
+    rec = itinerary_choices(x, a, d, M, N)
+    assert list(rec.indices) == want
+
+    def counts(word):
+        return tuple(Fraction(word.count(s), len(word)) for s in range(1, d**M + 1))
+
+    assert rec.q == counts(want)
+    assert rec.decimated == tuple(counts(want[l::M]) for l in range(M))
 
 
 def test_itinerary_rejects_multiplier_below_two():
