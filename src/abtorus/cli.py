@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 precondition violation, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -190,7 +191,8 @@ def _verify_irregular(args):
 
 
 def _count_r(args):
-    sys.stdout.write(f"{typecount.count_R(args.K, args.N, args.t)}\n")
+    # decimal prints the exact count at any length; str() of an int stops at sys.get_int_max_str_digits()
+    sys.stdout.write(f"{decimal.Decimal(typecount.count_R(args.K, args.N, args.t))}\n")
 
 
 def _growth(args):

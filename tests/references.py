@@ -1,4 +1,6 @@
-"""Slow references for the orbit grid, the test family and the bump: pow, np.cos / np.sin, Fraction and mpmath evaluations."""
+"""Slow references for the orbit grid, the test family, the bump and the type count: pow, np.cos / np.sin, Fraction and
+mpmath evaluations, and the per-leaf count walk."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -42,3 +44,63 @@ def ld_member_mean(f, cells) -> Fraction:
     mean = trig(TAU_LD * f.freq * np.asarray(cells, dtype=np.longdouble)).mean(dtype=np.longdouble)
     eta = np.longdouble(f.eta)
     return Fraction(*(eta + (1 - eta) * (1 + mean) / 2).as_integer_ratio())
+
+
+def walk_count_R(k, N, t):
+    """(|R(k, N, t)|, visits) by the per-leaf walk: count_R's pruned walk with one binomial
+    update and one leaf test per count vector, and no window over the last two parts.
+
+    It reads `typecount.MAX_VISITS` when called, so a test that patches the cap
+    patches both.
+    """
+    from abtorus import typecount
+    from abtorus.typecount import ENTROPY_TOL, MAX_PARTS
+
+    MAX_VISITS = typecount.MAX_VISITS
+    if k < 1 or N < 1 or not t >= 0:
+        raise ValueError("need k >= 1, N >= 1, t >= 0")
+    if min(k, N) > MAX_PARTS:
+        raise ValueError(f"min(k, N) = {min(k, N)} exceeds the part limit {MAX_PARTS}")
+    clogc = [0.0] + [c * math.log(c) for c in range(1, N + 1)]
+    log_N = math.log(N)
+    bound = t + ENTROPY_TOL
+    # A vector passes when its sum of c log c reaches N (log N - bound); the slack
+    # covers float rounding, so the prune keeps every vector the leaf test accepts.
+    need = N * (log_N - bound) - 1e-9 * (1 + N * log_N)
+    visits = 0
+
+    def walk(rem: int, top: int, slots: int, run: int, s: float, weight: int) -> int:
+        # k - slots parts so far, the last `run` equal to `top`; s is their sum of
+        # c log c, weight their multinomial times arrangements. A next part c <= top
+        # leaves rem - c <= (slots - 1) c: with two slots left, the rest is one part.
+        nonlocal visits
+        lo, hi = -(-rem // slots), min(rem, top) + 1
+        end = hi
+        while lo < hi:  # the least c whose greedy completion reaches need, else end
+            mid = (lo + hi) // 2
+            q, r = divmod(rem - mid, mid)
+            if s + (q + 1) * clogc[mid] + clogc[r] < need:
+                lo = mid + 1
+            else:
+                hi = mid
+        visits += end - lo
+        if visits > MAX_VISITS:
+            raise ValueError(f"count_R visits more than {MAX_VISITS} count vectors at -K {k} -N {N} -t {t}")
+        total = inner = 0  # inner: binom summed over the leaves with r = 1 and rest != c
+        binom = math.comb(rem, lo)
+        for c in range(lo, end):
+            sc = s + clogc[c]
+            rest = rem - c
+            if rest and slots > 2:
+                r = run + 1 if c == top else 1
+                total += walk(rest, c, slots - 1, r, sc, weight * binom * slots // r)
+            elif log_N - (sc + clogc[rest]) / N <= bound:  # c or rest is the last part
+                if c == top or rest == c:
+                    r = run + 1 if c == top else 1
+                    total += weight * binom * slots // r // (r + 1 if rest == c else 1)
+                else:
+                    inner += binom
+            binom = binom * rest // (c + 1)
+        return total + inner * weight * slots
+
+    return walk(N, N, k, 0, 0.0, 1), visits

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -608,6 +609,17 @@ def test_itinerary_entropy_of_a_point_mass_is_positive_zero(capsys):
 def test_count_r_alphabet_larger_than_length(capsys):
     code, out, _ = capture(capsys, ["count-r", "-K", "1500", "-N", "2", "-t", "1"])
     assert (code, out) == (0, "2250000\n")
+
+
+def test_count_r_prints_counts_past_the_int_string_limit(capsys):
+    """4,341 digits, past CPython's default 4,300-digit cap on int-to-str conversion, which
+    the in-process CLI leaves as it finds it."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = capture(capsys, ["count-r", "-K", "2", "-N", "100000", "-t", "0.1"])
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    assert out.endswith("\n") and out[:-1].isdigit() and len(out) - 1 == 4341
+    assert int(decimal.Decimal(out)) == typecount.count_R(2, 100_000, 0.1)
 
 
 # Minimal valid arguments of each subcommand with no CSV form.

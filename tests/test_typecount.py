@@ -19,6 +19,7 @@ from abtorus import (
     point_of_word,
     q_bound,
 )
+from references import walk_count_R
 from words import random_word
 from abtorus import typecount
 from abtorus.typecount import ENTROPY_TOL
@@ -186,6 +187,60 @@ def test_count_R_walk_stays_under_its_pruned_visit_count(monkeypatch, k, N, t, l
     more than 2^20 and 30,701, so a walk without the prune fails on its count."""
     monkeypatch.setattr(typecount, "MAX_VISITS", limit)
     assert count_R(k, N, t) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 400), st.data())
+def test_count_R_windows_match_the_per_leaf_walk(k, N, data):
+    """count_R against the per-leaf walk of `references.walk_count_R`: equal counts, and the
+    same visits, so the cap raises one vector below them and passes at them. Walks past
+    20,000 visits must raise in both. Thresholds are any t or a type's entropy within 2 ulps."""
+    if data.draw(st.booleans(), label="tie"):
+        cuts = sorted(data.draw(st.lists(st.integers(0, N), min_size=k - 1, max_size=k - 1)))
+        s = 0.0
+        for c in sorted((hi - lo for lo, hi in zip([0, *cuts], [*cuts, N])), reverse=True):
+            if c:
+                s += c * math.log(c)
+        t = math.log(N) - s / N - ENTROPY_TOL
+        step = data.draw(st.integers(-2, 2), label="ulps")
+        for _ in range(abs(step)):
+            t = math.nextafter(t, math.copysign(math.inf, step))
+        t = max(t, 0.0)
+    else:
+        t = data.draw(st.floats(0.0, math.log(k) + 0.1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(typecount, "MAX_VISITS", 20_000)
+        try:
+            want, visits = walk_count_R(k, N, t)
+        except ValueError:
+            with pytest.raises(ValueError, match="^count_R visits more than 20000 count vectors"):
+                count_R(k, N, t)
+            return
+        assert count_R(k, N, t) == want
+        mp.setattr(typecount, "MAX_VISITS", visits - 1)
+        with pytest.raises(ValueError, match=f"^count_R visits more than {visits - 1} count vectors"):
+            count_R(k, N, t)
+        mp.setattr(typecount, "MAX_VISITS", visits)
+        assert count_R(k, N, t) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_slide_keeps_the_binomial_window_sum(n, data):
+    """Random walks of `_slide` down to n = 1, each step n - 1 with lo and hi moved by up to
+    two: windows from lo = 0 to hi = n + 1, and empty ones, against math.comb sums."""
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo + 1, n + 1), label="hi")
+    W = sum(math.comb(n, j) for j in range(lo, hi))
+    bl, bh = math.comb(n, lo), math.comb(n, hi - 1)
+    moves = data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n - 1, max_size=n - 1))
+    for dlo, dhi in moves:
+        n -= 1  # targets keep lo <= n and hi >= 1, so both boundary binomials stay nonzero
+        lo2 = min(max(lo + dlo, 0), n)
+        hi2 = min(max(hi + dhi, lo2, 1), n + 1)
+        W, bl, bh = typecount._slide(n + 1, lo, hi, W, bl, bh, lo2, hi2)
+        lo, hi = lo2, hi2
+        assert (W, bl, bh) == (sum(math.comb(n, j) for j in range(lo, hi)), math.comb(n, lo), math.comb(n, hi - 1))
 
 
 def test_count_R_alphabet_larger_than_length():
